@@ -12,23 +12,26 @@ module is that composition for the reproduction's switch fabrics:
   :class:`~repro.sim.channel.ChannelHalf` ends — see
   :meth:`repro.net.fabric.Fabric._link`) and runs its own
   :class:`~repro.sim.event_queue.EventQueue`;
-- a coordinator in the parent drives the same warm-up / measure / drain
-  phase structure as :func:`repro.harness.fabric.run_fabric`, while the
-  shards exchange per-epoch frame batches over multiprocessing queues
-  under the conservative quantum bound (quantum <= min link latency);
-- per-shard results merge into one :class:`FabricRunResult` whose flow
-  digest is **bit-identical** to the single-process run — the
-  equivalence the cross-process suite pins for the whole 12-case
-  scenario matrix.
+- a coordinator in the parent is the multiprocess backend of the
+  phase driver in :mod:`repro.harness.fabric` — the same warm-up /
+  measure / drain loop, merge and sanity check that run a single-process
+  fabric — while the shards exchange per-epoch frame batches over
+  multiprocessing queues under the conservative quantum bound
+  (quantum <= min link latency);
+- the merged :class:`FabricRunResult` has a flow digest **bit-identical**
+  to the single-process run — the equivalence the cross-process suite
+  pins for the 12-case scenario matrix at seed 0.
 
 Determinism argument (docs/sharding.md has the long form): every shard
 runs a full replica of the flow generator — same seed, same fork
 labels, same RNG draws — and injects only the flows whose source host
-it owns.  Phase boundaries are evaluated at the same absolute ticks as
-the single-process chunk loop, channel delivery ticks reproduce
+it owns.  One driver advances every shard to the same absolute targets
+as the single-process run, channel delivery ticks reproduce
 :class:`~repro.nic.phy.EtherLink` arithmetic exactly, and epoch
 injection is sorted ``(deliver_at, channel, seq)``, so each shard's
-event sequence is the exact projection of the single-process one.
+event sequence is the projection of the single-process one — except
+for the order of same-tick arrivals over a cut link (docs/sharding.md,
+"Known defect").
 
 Failure semantics: a shard that dies mid-epoch is detected by the
 coordinator's liveness poll (and, as a backstop, by its peers' bounded
@@ -40,41 +43,25 @@ the shard is raised.  No deadlocked peers, no orphan processes.
 from __future__ import annotations
 
 import multiprocessing
-import os
 import queue as queue_lib
 import time
 from dataclasses import asdict, dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
+from repro.harness import fabric as harness_fabric
 from repro.harness.fabric import (
     FabricRunResult,
     FabricWarmupPlan,
-    _finalize_run,
-    _warm_gen_config,
-    build_fabric_rig,
+    _InProcessFabric,
     fabric_config_for,
-    run_fabric,
+    measure_fabric,
+    measured_config,
+    warm_up_fabric,
 )
-from repro.loadgen.flowgen import (
-    FlowGenConfig,
-    FlowRecord,
-    fct_summary_from,
-    flow_digest_from,
-    resolve_size_cdf,
-)
+from repro.loadgen.flowgen import FlowGenConfig
 from repro.net.fabric import FabricConfig
 from repro.sim.channel import ChannelError, ChannelGroup
-from repro.sim.checkpoint import CheckpointError
-from repro.sim.invariants import InvariantViolation
-from repro.sim.ticks import us_to_ticks
 from repro.system.config import SystemConfig
-
-# Phase-loop geometry: must mirror repro.harness.fabric._run_phase and
-# Fabric.drain_to_quiescence so sharded runs evaluate their done
-# conditions at the same absolute ticks as the single-process path.
-# The equivalence suite pins any drift.
-_PHASE_CHUNK_US = 50.0
-_PHASE_MAX_CHUNKS = 4000
 
 #: How long a shard waits for a peer's epoch batch before declaring the
 #: peer dead (backstop — the coordinator's liveness poll usually fires
@@ -175,33 +162,21 @@ def _mp_context():
     return multiprocessing.get_context()
 
 
-def _status(fabric) -> dict:
-    return {
-        "now": fabric.sim.now,
-        "active": bool(fabric.generator.active),
-        "quiescent": fabric.quiescent(),
-        "ready": fabric._checkpoint_ready(),
-    }
-
-
 def _shard_worker(shard_id: int, plan: ShardPlan, config: SystemConfig,
                   preset: str, stack: str, seed: int,
                   cmd_q, resp_q, send_qs: Dict[int, object],
-                  recv_qs: Dict[int, object],
-                  crash: Optional[Tuple[int, int]]) -> None:
+                  recv_qs: Dict[int, object]) -> None:
     """One shard process: build the slice, serve coordinator commands,
     exchange epoch batches with peer shards."""
     try:
-        fabric = build_fabric_rig(config, preset, stack, seed=seed,
-                                  shard_plan=plan, shard_id=shard_id)
+        fabric = harness_fabric.build_fabric_rig(
+            config, preset, stack, seed=seed, shard_plan=plan,
+            shard_id=shard_id)
+        local = _InProcessFabric(fabric)
         group = ChannelGroup(fabric.sim, fabric.channels)
         neighbors = group.neighbors()
 
         def exchange(epoch: int, horizon: int, outgoing):
-            if crash is not None and crash == (shard_id, epoch):
-                # Test hook: die without a word, mid-epoch, with peers
-                # waiting on our batch.
-                os._exit(23)
             for peer in neighbors:
                 send_qs[peer].put((epoch, shard_id, outgoing.get(peer, [])))
             incoming = []
@@ -227,37 +202,22 @@ def _shard_worker(shard_id: int, plan: ShardPlan, config: SystemConfig,
             return incoming
 
         while True:
-            cmd = cmd_q.get()
-            op = cmd[0]
+            op, *args = cmd_q.get()
             if op == "advance":
-                group.advance(cmd[1], exchange)
-                resp_q.put(("ok", shard_id, _status(fabric)))
+                group.advance(args[0], exchange)
             elif op == "start":
-                # Realign the idle clock first: run(until) freezes `now`
-                # at the last local event, and the schedule about to be
-                # synthesized is stamped with the current tick.
-                fabric.sim.events.advance_to(cmd[2])
-                fabric.generator.start(FlowGenConfig(**cmd[1]))
-                resp_q.put(("ok", shard_id, _status(fabric)))
+                local.start(FlowGenConfig(**args[0]))
             elif op == "reset":
-                fabric.reset_measurement()
-                resp_q.put(("ok", shard_id, _status(fabric)))
+                local.reset()
             elif op == "finalize":
-                _finalize_run(fabric)
-                gen = fabric.generator
-                resp_q.put(("ok", shard_id, {
-                    "records": [r.as_tuple() for r in gen._records],
-                    "window_started": gen.flows_started,
-                    "frames_sent": fabric.frames_sent(),
-                    "frames_delivered": fabric.frames_delivered(),
-                    "drop_counts": fabric.drop_breakdown(),
-                    "per_switch_drops": fabric.per_switch_drops(),
-                    "now": fabric.sim.now,
-                }))
+                resp_q.put(("ok", shard_id, local.finalize()[0]))
+                continue
             elif op == "stop":
                 return
             else:
                 raise RuntimeError(f"unknown shard command {op!r}")
+            resp_q.put(("ok", shard_id,
+                        {"busy": local.busy(), "ready": local.ready()}))
     except BaseException as exc:  # report, then die quietly
         try:
             resp_q.put(("error", shard_id,
@@ -267,17 +227,15 @@ def _shard_worker(shard_id: int, plan: ShardPlan, config: SystemConfig,
 
 
 class _ShardCoordinator:
-    """Parent-side driver: owns the worker processes and the queues,
-    mirrors the single-process phase loops at the same absolute ticks."""
+    """Parent-side multiprocess backend of the fabric phase driver
+    (:mod:`repro.harness.fabric`): owns the worker processes and the
+    queues, and broadcasts each driver step to every shard."""
 
     def __init__(self, plan: ShardPlan, config: SystemConfig, preset: str,
-                 stack: str, seed: int,
-                 crash: Optional[Tuple[int, int]] = None) -> None:
+                 stack: str, seed: int) -> None:
         self.plan = plan
         self.now = 0
-        self.warm_plan = FabricWarmupPlan()
-        self._chunk_ticks = us_to_ticks(_PHASE_CHUNK_US)
-        self._drain_ticks = us_to_ticks(self.warm_plan.drain_chunk_us)
+        self._statuses: List[dict] = []
         ctx = _mp_context()
         n = plan.n_shards
         self.cmd_qs = [ctx.Queue() for _ in range(n)]
@@ -291,8 +249,7 @@ class _ShardCoordinator:
             proc = ctx.Process(
                 target=_shard_worker, name=f"repro-shard-{i}", daemon=True,
                 args=(i, plan, config, preset, stack, seed,
-                      self.cmd_qs[i], self.resp_qs[i], send_qs, recv_qs,
-                      crash))
+                      self.cmd_qs[i], self.resp_qs[i], send_qs, recv_qs))
             proc.start()
             self.procs.append(proc)
 
@@ -324,37 +281,22 @@ class _ShardCoordinator:
             q.put(cmd)
         return [self._collect(i) for i in range(self.plan.n_shards)]
 
-    def _advance(self, target: int) -> List[dict]:
-        statuses = self.broadcast(("advance", target))
-        # max() over shard clocks reproduces the single queue's `now`: a
-        # shard whose queue drained mid-chunk froze early, exactly like
-        # run(until) on the one global queue would have.
-        self.now = max(self.now, max(s["now"] for s in statuses))
-        return statuses
+    # -- the phase-driver backend --------------------------------------------
 
-    # -- the run shape of run_fabric, spread over the shards -----------------
+    def start(self, gen_config: FlowGenConfig) -> None:
+        self._statuses = self.broadcast(("start", asdict(gen_config)))
 
-    def run_phase(self, gen_cfg: FlowGenConfig, label: str) -> None:
-        statuses = self.broadcast(("start", asdict(gen_cfg), self.now))
-        for _ in range(_PHASE_MAX_CHUNKS):
-            if (not any(s["active"] for s in statuses)
-                    and all(s["quiescent"] for s in statuses)):
-                break
-            statuses = self._advance(self.now + self._chunk_ticks)
-        else:
-            raise CheckpointError(
-                f"sharded fabric: {label} phase failed to drain after "
-                f"{_PHASE_MAX_CHUNKS} chunks of {_PHASE_CHUNK_US}us")
-        for _ in range(self.warm_plan.max_drain_chunks):
-            if all(s["ready"] for s in statuses):
-                return
-            statuses = self._advance(self.now + self._drain_ticks)
-        raise CheckpointError(
-            f"sharded fabric: {label} drain failed to reach quiescence "
-            f"after {self.warm_plan.max_drain_chunks} chunks of "
-            f"{self.warm_plan.drain_chunk_us}us")
+    def advance(self, target: int) -> None:
+        self._statuses = self.broadcast(("advance", target))
+        self.now = target
 
-    def reset_measurement(self) -> None:
+    def busy(self) -> bool:
+        return any(s["busy"] for s in self._statuses)
+
+    def ready(self) -> bool:
+        return all(s["ready"] for s in self._statuses)
+
+    def reset(self) -> None:
         self.broadcast(("reset",))
 
     def finalize(self) -> List[dict]:
@@ -392,113 +334,31 @@ class _ShardCoordinator:
                 pass
 
 
-def _merge_results(payloads: List[dict], config: SystemConfig, preset: str,
-                   stack: str, pattern: str, load: float, n_flows: int
-                   ) -> FabricRunResult:
-    """Fold per-shard finalize payloads into one FabricRunResult, using
-    the same digest/summary code paths as the live generator."""
-    records = [FlowRecord(*tuple(t))
-               for payload in payloads for t in payload["records"]]
-    started = sum(p["window_started"] for p in payloads)
-    sent = sum(p["frames_sent"] for p in payloads)
-    delivered = sum(p["frames_delivered"] for p in payloads)
-    drop_counts: Dict[str, int] = {}
-    for payload in payloads:
-        for cause, count in payload["drop_counts"].items():
-            drop_counts[cause] = drop_counts.get(cause, 0) + count
-    per_switch: Dict[str, Dict[str, int]] = {}
-    for payload in payloads:
-        per_switch.update(payload["per_switch_drops"])
-    total_drops = sum(drop_counts.values())
-    breakdown = ({cause: count / total_drops
-                  for cause, count in sorted(drop_counts.items())}
-                 if total_drops else {})
-    return FabricRunResult(
-        label=config.label,
-        preset=preset,
-        stack=stack,
-        pattern=pattern,
-        offered_load=load,
-        n_flows=n_flows,
-        flows_started=started,
-        flows_completed=len(records),
-        frames_sent=sent,
-        frames_delivered=delivered,
-        drop_rate=(total_drops / sent) if sent else 0.0,
-        fct_us=fct_summary_from(records),
-        drop_breakdown=breakdown,
-        per_switch_drops=per_switch,
-        flow_digest=flow_digest_from(started,
-                                     (r.as_tuple() for r in records)),
-        trace_digest="",
-    )
-
-
-def _check_merged_sanity(result: FabricRunResult, final_tick: int) -> None:
-    """The cross-checks of ``_check_fabric_sanity``, on merged numbers
-    (each shard's internal conservation laws already ran in-process
-    during finalize)."""
-    fails = []
-    if result.flows_completed > result.flows_started:
-        fails.append(f"completed {result.flows_completed} flows but only "
-                     f"{result.flows_started} started")
-    if not 0 <= result.frames_delivered <= result.frames_sent:
-        fails.append(f"delivered {result.frames_delivered} outside "
-                     f"[0, sent {result.frames_sent}]")
-    share = sum(result.drop_breakdown.values())
-    if result.drop_breakdown and not 0.999 < share < 1.001:
-        fails.append(f"drop-cause breakdown sums to {share:.6f}, not 1: "
-                     f"{result.drop_breakdown}")
-    count = result.fct_us.get("count", 0)
-    if count != result.flows_completed:
-        fails.append(f"FCT samples ({count:g}) != completed flows "
-                     f"({result.flows_completed})")
-    if fails:
-        raise InvariantViolation(
-            [f"dist.shard: {msg}" for msg in fails],
-            tick=final_tick, phase="harness")
-
-
 def run_fabric_sharded(config: SystemConfig, preset: str, stack: str,
                        pattern: str = "uniform", load: float = 0.3,
                        n_flows: int = 200, size_cdf: str = "smoke",
                        seed: int = 0, shards: int = 2,
-                       warmup_cache=None,
-                       _crash: Optional[Tuple[int, int]] = None
-                       ) -> FabricRunResult:
+                       warmup_cache=None) -> FabricRunResult:
     """Run one fabric flow phase split over ``shards`` processes.
 
-    Same contract as :func:`repro.harness.fabric.run_fabric` — same
-    warm-up plan, same phase shape, bit-identical flow digest — with the
-    simulation partitioned per :func:`plan_fabric_shards`.  The warm-up
-    checkpoint cache is not used in sharded mode (warm-up is simulated
-    in the shards every run); ``warmup_cache`` only applies to the
+    Same contract as :func:`repro.harness.fabric.run_fabric` — the same
+    phase driver, merge and sanity check, with the simulation
+    partitioned per :func:`plan_fabric_shards`.  The warm-up checkpoint
+    cache is not used in sharded mode (warm-up is simulated in the
+    shards every run); ``warmup_cache`` only applies to the
     ``shards <= 1`` fallback, which delegates to :func:`run_fabric`.
-
-    ``_crash`` is a failure-injection hook for the crash-path tests:
-    ``(shard_id, epoch)`` makes that shard exit mid-epoch.
     """
     if shards <= 1:
-        return run_fabric(config, preset, stack, pattern=pattern, load=load,
-                          n_flows=n_flows, size_cdf=size_cdf, seed=seed,
-                          warmup_cache=warmup_cache)
-    fab_cfg = fabric_config_for(config, preset, stack)
-    plan = plan_fabric_shards(fab_cfg, shards)
-    resolve_size_cdf(size_cdf)   # fail fast on unknown names
-    coordinator = _ShardCoordinator(plan, config, preset, stack, seed,
-                                    crash=_crash)
+        return harness_fabric.run_fabric(
+            config, preset, stack, pattern=pattern, load=load,
+            n_flows=n_flows, size_cdf=size_cdf, seed=seed,
+            warmup_cache=warmup_cache)
+    plan = plan_fabric_shards(fabric_config_for(config, preset, stack),
+                              shards)
+    measured = measured_config(pattern, load, n_flows, size_cdf)
+    coordinator = _ShardCoordinator(plan, config, preset, stack, seed)
     try:
-        coordinator.run_phase(_warm_gen_config(coordinator.warm_plan),
-                              "warm-up")
-        coordinator.reset_measurement()
-        coordinator.run_phase(
-            FlowGenConfig(pattern=pattern, load=load, n_flows=n_flows,
-                          size_cdf=size_cdf),
-            "measured")
-        payloads = coordinator.finalize()
+        warm_up_fabric(coordinator, FabricWarmupPlan())
+        return measure_fabric(coordinator, config, preset, stack, measured)
     finally:
         coordinator.shutdown()
-    result = _merge_results(payloads, config, preset, stack, pattern,
-                            load, n_flows)
-    _check_merged_sanity(result, coordinator.now)
-    return result

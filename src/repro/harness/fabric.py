@@ -5,29 +5,30 @@ warm-up / checkpoint-restore / measured-window / drain shape, applied to
 a whole switch fabric instead of a single node.  The warm-up plan is
 deliberately *load- and pattern-independent* (a canonical trickle of
 uniform traffic), so every point of a fabric load sweep shares one
-post-warm-up snapshot through the warm-up cache.
+post-warm-up snapshot through the warm-up cache.  The phase driver here
+runs every fabric simulation: in this process (one shard) or split over
+shard processes by :mod:`repro.dist.shard`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.harness.runner import _finalize_run
-from repro.harness.warmup_cache import (
-    WarmupCache,
-    warmup_cache_from_env,
-    warmup_key,
-)
+from repro.harness.warmup_cache import WarmupCache, warm_start, warmup_key
 from repro.loadgen.flowgen import (
     FlowGenConfig,
     FlowTrafficGenerator,
+    fct_summary_from,
+    flow_digest_from,
     resolve_size_cdf,
 )
 from repro.net.fabric import Fabric, FabricConfig, build_fabric
 from repro.sim.checkpoint import CheckpointError
 from repro.sim.invariants import InvariantViolation
 from repro.sim.simobject import Simulation
+from repro.sim.ticks import us_to_ticks
 from repro.system.config import SystemConfig
 from repro.system.presets import FABRIC_PRESETS
 
@@ -157,20 +158,6 @@ def build_fabric_rig(config: SystemConfig, preset: str, stack: str,
     return fabric
 
 
-def _run_phase(fabric: Fabric, chunk_us: float = 50.0,
-               max_chunks: int = 4000) -> None:
-    """Advance in fixed chunks until the generator has injected every
-    flow and the fabric has drained."""
-    generator = fabric.generator
-    for _ in range(max_chunks):
-        if not generator.active and fabric.quiescent():
-            return
-        fabric.run_us(chunk_us)
-    raise CheckpointError(
-        f"{fabric.label}: flow phase failed to drain after "
-        f"{max_chunks} chunks of {chunk_us}us")
-
-
 def _warm_key(config: SystemConfig, fabric: Fabric, preset: str, stack: str,
               plan: FabricWarmupPlan, seed: int) -> str:
     app_options = {"fabric": fabric.config.canonical_dict()}
@@ -178,99 +165,114 @@ def _warm_key(config: SystemConfig, fabric: Fabric, preset: str, stack: str,
                       plan, seed, fabric.sim.tracer._options_signature())
 
 
-def _warm_gen_config(plan: FabricWarmupPlan) -> FlowGenConfig:
-    return FlowGenConfig(pattern=plan.warm_pattern, load=plan.warm_load,
-                         n_flows=plan.warm_flows,
-                         size_cdf=plan.warm_size_cdf)
+def measured_config(pattern: str, load: float, n_flows: int,
+                    size_cdf: str) -> FlowGenConfig:
+    """The measured phase's generator config (fails fast on unknown
+    size-CDF names, before any simulation)."""
+    resolve_size_cdf(size_cdf)
+    return FlowGenConfig(pattern=pattern, load=load, n_flows=n_flows,
+                         size_cdf=size_cdf)
 
 
-def prewarm_fabric(config: SystemConfig, preset: str, stack: str,
-                   seed: int = 0,
-                   warmup_cache: Optional[WarmupCache] = None) -> bool:
-    """Populate the warm-up checkpoint cache for a fabric run.
+class _InProcessFabric:
+    """The one-shard backend of the phase driver below: a whole fabric
+    in this process, advanced directly on its event queue.  The
+    multiprocess backend, :class:`repro.dist.shard._ShardCoordinator`,
+    has the same methods and applies each to every shard; ``advance``
+    runs to an absolute tick, where ``EventQueue.run(until=...)`` always
+    ends."""
 
-    Exactly the warm-up block of :func:`run_fabric` (same key, same
-    plan), stopped after the snapshot is sealed.  The persistent-worker
-    sweep executor calls this in the parent before forking, so workers
-    inherit the parsed snapshot through copy-on-write memory.
+    def __init__(self, fabric: Fabric) -> None:
+        self.fabric = fabric
 
-    Returns True when a fresh snapshot was simulated and stored, False
-    on a cache hit or when no cache is configured.
-    """
-    cache = warmup_cache if warmup_cache is not None \
-        else warmup_cache_from_env()
-    if cache is None:
-        return False
-    fabric = build_fabric_rig(config, preset, stack, seed=seed)
-    plan = FabricWarmupPlan()
-    key = _warm_key(config, fabric, preset, stack, plan, seed)
-    if cache.get(key) is not None:
-        return False
-    fabric.generator.start(_warm_gen_config(plan))
-    _run_phase(fabric)
-    fabric.drain_to_quiescence(chunk_us=plan.drain_chunk_us,
-                               max_chunks=plan.max_drain_chunks)
-    fabric.reset_measurement()
-    cache.put(key, fabric.checkpoint(extra_meta={"phase": "warmup"}))
-    cache.get(key)   # validated read-back seeds the in-memory memo
-    return True
+    @property
+    def now(self) -> int:
+        return self.fabric.sim.now
+
+    def start(self, gen_config: FlowGenConfig) -> None:
+        self.fabric.generator.start(gen_config)
+
+    def advance(self, target: int) -> None:
+        self.fabric.sim.run(until=target)
+
+    def busy(self) -> bool:
+        return self.fabric.generator.active or not self.fabric.quiescent()
+
+    def ready(self) -> bool:
+        return self.fabric._checkpoint_ready()
+
+    def reset(self) -> None:
+        self.fabric.reset_measurement()
+
+    def finalize(self) -> List[dict]:
+        """The shard's end-of-run report: the final invariant check runs
+        here, then the window's flow records and counters are read."""
+        fabric = self.fabric
+        trace_digest = _finalize_run(fabric)
+        generator = fabric.generator
+        return [{
+            "invariants": fabric.sim.invariants.mode,
+            "trace_digest": trace_digest,
+            "records": generator._records,
+            "window_started": generator.flows_started,
+            "frames_sent": fabric.frames_sent(),
+            "frames_delivered": fabric.frames_delivered(),
+            "drop_counts": fabric.drop_breakdown(),
+            "per_switch_drops": fabric.per_switch_drops(),
+        }]
 
 
-def run_fabric(config: SystemConfig, preset: str, stack: str,
-               pattern: str = "uniform", load: float = 0.3,
-               n_flows: int = 200, size_cdf: str = "smoke",
-               seed: int = 0,
-               warmup_cache: Optional[WarmupCache] = None
-               ) -> FabricRunResult:
-    """Run one open-loop flow phase through a fabric and measure FCTs.
+def run_flow_phase(backend, gen_config: FlowGenConfig, label: str,
+                   plan: FabricWarmupPlan) -> None:
+    """One open-loop flow phase: advance in 50 us chunks until the
+    generator has injected every flow and the fabric is quiescent, then
+    in drain chunks until it is checkpoint-ready."""
+    chunk_us, max_chunks = 50.0, 4000
+    backend.start(gen_config)
+    chunk = us_to_ticks(chunk_us)
+    for _ in range(max_chunks):
+        if not backend.busy():
+            break
+        backend.advance(backend.now + chunk)
+    else:
+        raise CheckpointError(
+            f"fabric {label} phase failed to drain after {max_chunks} "
+            f"chunks of {chunk_us}us")
+    drain = us_to_ticks(plan.drain_chunk_us)
+    for _ in range(plan.max_drain_chunks):
+        if backend.ready():
+            return
+        backend.advance(backend.now + drain)
+    raise CheckpointError(
+        f"fabric {label} drain failed to reach quiescence after "
+        f"{plan.max_drain_chunks} chunks of {plan.drain_chunk_us}us")
 
-    Warm-up runs a canonical uniform trickle, drains, and resets
-    statistics; with ``warmup_cache`` (or ``REPRO_WARMUP_CACHE``) set,
-    that state is checkpointed once and restored on every later run
-    with the same key — bit-identical to warming up from scratch, and
-    shared across patterns and loads.
-    """
-    fabric = build_fabric_rig(config, preset, stack, seed=seed)
-    plan = FabricWarmupPlan()
-    cache = warmup_cache if warmup_cache is not None \
-        else warmup_cache_from_env()
-    key = None
-    restored = False
-    if cache is not None:
-        key = _warm_key(config, fabric, preset, stack, plan, seed)
-        snapshot = cache.get(key)
-        if snapshot is not None:
-            try:
-                fabric.restore(snapshot)
-                restored = True
-            except CheckpointError:
-                # Schema drift that survived the digest check: drop the
-                # entry and warm up from scratch on a rebuilt fabric.
-                cache.discard(key)
-                fabric = build_fabric_rig(config, preset, stack, seed=seed)
-    if not restored:
-        fabric.generator.start(_warm_gen_config(plan))
-        _run_phase(fabric)
-        fabric.drain_to_quiescence(chunk_us=plan.drain_chunk_us,
-                                   max_chunks=plan.max_drain_chunks)
-        fabric.reset_measurement()
-        if cache is not None:
-            cache.put(key, fabric.checkpoint(extra_meta={"phase": "warmup"}))
 
-    # Measured phase — identical code whether the warm-up was simulated
-    # or restored from a checkpoint.
-    generator = fabric.generator
-    resolve_size_cdf(size_cdf)   # fail fast on unknown names
-    generator.start(FlowGenConfig(pattern=pattern, load=load,
-                                  n_flows=n_flows, size_cdf=size_cdf))
-    _run_phase(fabric)
-    fabric.drain_to_quiescence(chunk_us=plan.drain_chunk_us,
-                               max_chunks=plan.max_drain_chunks)
-    trace_digest = _finalize_run(fabric)
+def warm_up_fabric(backend, plan: FabricWarmupPlan) -> None:
+    """The load-independent warm-up phase, then a statistics reset."""
+    warm = FlowGenConfig(pattern=plan.warm_pattern, load=plan.warm_load,
+                         n_flows=plan.warm_flows, size_cdf=plan.warm_size_cdf)
+    run_flow_phase(backend, warm, "warm-up", plan)
+    backend.reset()
 
-    sent = fabric.frames_sent()
-    delivered = fabric.frames_delivered()
-    drop_counts = fabric.drop_breakdown()
+
+def measure_fabric(backend, config: SystemConfig, preset: str, stack: str,
+                   measured: FlowGenConfig) -> FabricRunResult:
+    """Run the measured phase on a warmed-up backend and fold the
+    per-shard payloads into one checked :class:`FabricRunResult`."""
+    run_flow_phase(backend, measured, "measured", FabricWarmupPlan())
+    payloads = backend.finalize()
+    records = [record for payload in payloads
+               for record in payload["records"]]
+    started = sum(p["window_started"] for p in payloads)
+    sent = sum(p["frames_sent"] for p in payloads)
+    delivered = sum(p["frames_delivered"] for p in payloads)
+    drop_counts: Dict[str, int] = {}
+    per_switch: Dict[str, Dict[str, int]] = {}
+    for payload in payloads:
+        for cause, count in payload["drop_counts"].items():
+            drop_counts[cause] = drop_counts.get(cause, 0) + count
+        per_switch.update(payload["per_switch_drops"])
     total_drops = sum(drop_counts.values())
     breakdown = ({cause: count / total_drops
                   for cause, count in sorted(drop_counts.items())}
@@ -279,29 +281,31 @@ def run_fabric(config: SystemConfig, preset: str, stack: str,
         label=config.label,
         preset=preset,
         stack=stack,
-        pattern=pattern,
-        offered_load=load,
-        n_flows=n_flows,
-        flows_started=generator.flows_started,
-        flows_completed=generator.flows_completed,
+        pattern=measured.pattern,
+        offered_load=measured.load,
+        n_flows=measured.n_flows,
+        flows_started=started,
+        flows_completed=len(records),
         frames_sent=sent,
         frames_delivered=delivered,
         drop_rate=(total_drops / sent) if sent else 0.0,
-        fct_us=generator.fct_summary(),
+        fct_us=fct_summary_from(records),
         drop_breakdown=breakdown,
-        per_switch_drops=fabric.per_switch_drops(),
-        flow_digest=generator.flow_digest(),
-        trace_digest=trace_digest,
+        per_switch_drops=per_switch,
+        flow_digest=flow_digest_from(started,
+                                     (r.as_tuple() for r in records)),
+        # A trace is one event queue's: sharded runs carry none.
+        trace_digest=(payloads[0]["trace_digest"]
+                      if len(payloads) == 1 else ""),
     )
-    _check_fabric_sanity(fabric, result)
+    if payloads[0]["invariants"] != "off":
+        _check_fabric_sanity(result, backend.now)
     return result
 
 
-def _check_fabric_sanity(fabric: Fabric, result: FabricRunResult) -> None:
+def _check_fabric_sanity(result: FabricRunResult, tick: int) -> None:
     """Harness-level cross-checks on the reported numbers (the fabric's
     internal conservation laws are the invariant registry's job)."""
-    if fabric.sim.invariants.mode == "off":
-        return
     fails = []
     if result.flows_completed > result.flows_started:
         fails.append(f"completed {result.flows_completed} flows but only "
@@ -320,7 +324,59 @@ def _check_fabric_sanity(fabric: Fabric, result: FabricRunResult) -> None:
     if fails:
         raise InvariantViolation(
             [f"harness.fabric: {msg}" for msg in fails],
-            tick=fabric.sim.now, phase="harness")
+            tick=tick, phase="harness")
+
+
+def _fabric_rig(config: SystemConfig, preset: str, stack: str, seed: int,
+                warmup_cache: Optional[WarmupCache],
+                prewarm: bool = False):
+    """:func:`~repro.harness.warmup_cache.warm_start` for a one-shard
+    fabric run."""
+    plan = FabricWarmupPlan()
+    return warm_start(
+        warmup_cache,
+        lambda: build_fabric_rig(config, preset, stack, seed=seed),
+        lambda fabric: _warm_key(config, fabric, preset, stack, plan, seed),
+        lambda fabric: warm_up_fabric(_InProcessFabric(fabric), plan),
+        {"phase": "warmup"}, prewarm=prewarm)
+
+
+def prewarm_fabric(config: SystemConfig, preset: str, stack: str,
+                   seed: int = 0,
+                   warmup_cache: Optional[WarmupCache] = None) -> bool:
+    """Populate the warm-up checkpoint cache for a fabric run.
+
+    Exactly the warm-up block of :func:`run_fabric` (same key, same
+    plan), stopped after the snapshot is sealed.  The persistent-worker sweep
+    executor calls this in the parent before forking, so workers
+    inherit the parsed snapshot through copy-on-write memory.
+
+    Returns True when a fresh snapshot was simulated and stored, False
+    on a cache hit or when no cache is configured.
+    """
+    return _fabric_rig(config, preset, stack, seed, warmup_cache,
+                       prewarm=True)[1]
+
+
+def run_fabric(config: SystemConfig, preset: str, stack: str,
+               pattern: str = "uniform", load: float = 0.3,
+               n_flows: int = 200, size_cdf: str = "smoke",
+               seed: int = 0,
+               warmup_cache: Optional[WarmupCache] = None
+               ) -> FabricRunResult:
+    """Run one open-loop flow phase through a fabric and measure FCTs.
+
+    Warm-up runs a canonical uniform trickle, drains, and resets
+    statistics; with ``warmup_cache`` (or ``REPRO_WARMUP_CACHE``) set,
+    that state is checkpointed once and restored on every later run
+    with the same key — bit-identical to warming up from scratch, and
+    shared across patterns and loads.
+    """
+    measured = measured_config(pattern, load, n_flows, size_cdf)
+    fabric, _simulated = _fabric_rig(config, preset, stack, seed,
+                                     warmup_cache)
+    return measure_fabric(_InProcessFabric(fabric), config, preset, stack,
+                          measured)
 
 
 def run_fabric_sharded(config: SystemConfig, preset: str, stack: str,

@@ -49,8 +49,9 @@ the same results whether ``jobs`` is 1 or N, whether results came from
 workers or the cache, and across runs — each simulation is hermetic in
 ``(config, effective seed)``.
 
-The ``_poison_*`` kinds are failure injection hooks for the test suite
-(worker crash, hang, exception); they never run simulations.
+The test suite injects worker failures (crash, hang, exception) by
+registering extra point kinds in ``_KIND_HANDLERS``; forked workers
+inherit them.
 """
 
 from __future__ import annotations
@@ -240,63 +241,11 @@ def _run_fabric(point: SweepPoint):
                       seed=point.effective_seed)
 
 
-def _in_worker() -> bool:
-    return multiprocessing.parent_process() is not None
-
-
-def _poison_raise(point: SweepPoint):
-    raise RuntimeError("poisoned sweep point: injected exception")
-
-
-def _poison_hang(point: SweepPoint):
-    time.sleep(3600.0)
-
-
-def _poison_hang_once(point: SweepPoint):
-    # Hangs on its first attempt (stamping a flag file first) and
-    # completes on every later one — exercises timeout -> clean retry.
-    # The flag file path travels in ``app_options["flag"]``.
-    flag = Path(point.app_options["flag"])
-    if not flag.exists():
-        flag.write_text("first attempt")
-        time.sleep(3600.0)
-    return {"ok": True, "via": "retry", "seed": point.seed}
-
-
-def _poison_crash(point: SweepPoint):
-    # Hard worker death (no exception, no result) in a worker; the serial
-    # in-process fallback fails too — the unrecoverable-point case.
-    if _in_worker():
-        os._exit(17)
-    raise RuntimeError("poisoned sweep point: crashes everywhere")
-
-
-def _poison_child_crash(point: SweepPoint):
-    # Dies only inside a worker process; succeeds in-process — exercises
-    # the graceful serial fallback after worker death.
-    if _in_worker():
-        os._exit(17)
-    return {"ok": True, "via": "serial-fallback", "seed": point.seed}
-
-
-def _poison_invariant(point: SweepPoint):
-    # A simulation whose invariant checker fired — exercises the
-    # violation-verdict path (SweepInvariantError naming the point).
-    raise InvariantViolation(
-        ["poisoned: injected conservation failure"], tick=42)
-
-
 _KIND_HANDLERS: Dict[str, Callable[[SweepPoint], Any]] = {
     KIND_FIXED_LOAD: _run_fixed,
     KIND_MEMCACHED: _run_memcached,
     KIND_MSB: _run_msb,
     KIND_FABRIC: _run_fabric,
-    "_poison_raise": _poison_raise,
-    "_poison_hang": _poison_hang,
-    "_poison_hang_once": _poison_hang_once,
-    "_poison_crash": _poison_crash,
-    "_poison_child_crash": _poison_child_crash,
-    "_poison_invariant": _poison_invariant,
 }
 
 
@@ -510,7 +459,7 @@ def _warm_signature(point: SweepPoint):
     (which needs a built node for the tracer signature): two points with
     equal signatures share one warm-up snapshot.  Offered load is absent
     by design — that is the property the cache exists for.  ``None``
-    means the kind has no warm-up to share (poison hooks).
+    means the kind has no warm-up to share (test-registered kinds).
     """
     if point.config is None or point.kind not in (
             KIND_FIXED_LOAD, KIND_MEMCACHED, KIND_MSB, KIND_FABRIC):

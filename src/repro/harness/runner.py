@@ -19,11 +19,7 @@ from repro.apps.rxptx import RxPTx
 from repro.apps.testpmd import TestPmd
 from repro.apps.touchdrop import TouchDrop
 from repro.apps.touchfwd import TouchFwd
-from repro.harness.warmup_cache import (
-    WarmupCache,
-    warmup_cache_from_env,
-    warmup_key,
-)
+from repro.harness.warmup_cache import WarmupCache, warm_start, warmup_key
 from repro.kvstore.store import KvStore
 from repro.loadgen.ether_load_gen import (
     SyntheticConfig,
@@ -31,7 +27,6 @@ from repro.loadgen.ether_load_gen import (
     pps_for_gbps,
 )
 from repro.loadgen.memcached_client import MemcachedClientConfig
-from repro.sim.checkpoint import CheckpointError
 from repro.sim.invariants import InvariantViolation
 from repro.system.config import SystemConfig
 from repro.system.node import DpdkNode, KernelNode, WarmupPlan
@@ -48,6 +43,18 @@ APP_REGISTRY: Dict[str, Tuple[type, type, bool]] = {
 }
 
 
+def _registered(app_name: str) -> Tuple[type, type, bool]:
+    """The :data:`APP_REGISTRY` entry for ``app_name``, or a ValueError
+    that suggests the closest registered name."""
+    if app_name not in APP_REGISTRY:
+        close = difflib.get_close_matches(app_name, APP_REGISTRY, n=1)
+        suggestion = f" (did you mean {close[0]!r}?)" if close else ""
+        raise ValueError(
+            f"unknown app {app_name!r}{suggestion}; expected one of "
+            f"{sorted(APP_REGISTRY)}")
+    return APP_REGISTRY[app_name]
+
+
 def build_node(config: SystemConfig, app_name: str,
                app_options: Optional[dict] = None, seed: int = 0):
     """Build a ready-to-run Test Node for a registered application.
@@ -55,13 +62,7 @@ def build_node(config: SystemConfig, app_name: str,
     Memcached apps get a KvStore created in the node's address space
     automatically.
     """
-    if app_name not in APP_REGISTRY:
-        close = difflib.get_close_matches(app_name, APP_REGISTRY, n=1)
-        suggestion = f" (did you mean {close[0]!r}?)" if close else ""
-        raise ValueError(
-            f"unknown app {app_name!r}{suggestion}; expected one of "
-            f"{sorted(APP_REGISTRY)}")
-    node_class, app_class, _echoes = APP_REGISTRY[app_name]
+    node_class, app_class, _echoes = _registered(app_name)
     node = node_class(config, seed=seed)
     options = dict(app_options or {})
     if app_name in ("memcached_dpdk", "memcached_kernel") \
@@ -91,6 +92,19 @@ def _finalize_run(node) -> str:
     if trace_path:
         tracer.write_jsonl(trace_path)
     return tracer.digest()
+
+
+def _drain_nic(node, config: SystemConfig) -> None:
+    """Run until the NIC's FIFO and rings are empty (bounded), then for
+    one more round trip so in-flight responses land."""
+    for _ in range(40):
+        nic = node.nic
+        if (len(nic.rx_fifo) == 0 and nic.rx_ring.completed_count == 0
+                and nic.rx_ring.pending_writeback_count == 0
+                and nic.tx_ring.occupancy == 0):
+            break
+        node.run_us(200.0)
+    node.run_us(2 * config.link_delay_us + 100.0)
 
 
 def _check_result_sanity(node, name: str, sent: int, delivered: int,
@@ -199,6 +213,34 @@ def _fixed_load_plan(config: SystemConfig, packet_size: int, echoes: bool,
     )
 
 
+def _fixed_load_node(config: SystemConfig, app_name: str, packet_size: int,
+                     app_options: Optional[dict], warmup_us: Optional[float],
+                     seed: int, warmup_cache: Optional[WarmupCache],
+                     prewarm: bool = False):
+    """:func:`~repro.harness.warmup_cache.warm_start` for a fixed-rate
+    run: a node with a load generator attached, warmed up at the
+    canonical rate or restored from the cache."""
+    echoes = _registered(app_name)[2]
+    plan = _fixed_load_plan(config, packet_size, echoes, warmup_us)
+
+    def build():
+        node = build_node(config, app_name, app_options, seed=seed)
+        node.attach_loadgen()
+        return node
+
+    def key(node) -> str:
+        return warmup_key(config, app_name, packet_size, app_options, plan,
+                          seed, node.sim.tracer._options_signature())
+
+    def warm_up(node) -> None:
+        node.start()
+        node.warmup_and_reset(plan)
+
+    return warm_start(warmup_cache, build, key, warm_up,
+                      {"phase": "warmup", "packet_size": packet_size},
+                      prewarm=prewarm)
+
+
 def prewarm_fixed_load(config: SystemConfig, app_name: str,
                        packet_size: int,
                        app_options: Optional[dict] = None,
@@ -219,24 +261,8 @@ def prewarm_fixed_load(config: SystemConfig, app_name: str,
     Returns True when a fresh snapshot was simulated and stored, False
     on a cache hit or when no cache is configured.
     """
-    cache = warmup_cache if warmup_cache is not None \
-        else warmup_cache_from_env()
-    if cache is None:
-        return False
-    node = build_node(config, app_name, app_options, seed=seed)
-    node.attach_loadgen()
-    _node_class, _app_class, echoes = APP_REGISTRY[app_name]
-    plan = _fixed_load_plan(config, packet_size, echoes, warmup_us)
-    key = warmup_key(config, app_name, packet_size, app_options, plan,
-                     seed, node.sim.tracer._options_signature())
-    if cache.get(key) is not None:
-        return False
-    node.start()
-    node.warmup_and_reset(plan)
-    cache.put(key, node.checkpoint(
-        extra_meta={"phase": "warmup", "packet_size": packet_size}))
-    cache.get(key)   # validated read-back seeds the in-memory memo
-    return True
+    return _fixed_load_node(config, app_name, packet_size, app_options,
+                            warmup_us, seed, warmup_cache, prewarm=True)[1]
 
 
 def run_fixed_load(config: SystemConfig, app_name: str, packet_size: int,
@@ -254,37 +280,12 @@ def run_fixed_load(config: SystemConfig, app_name: str, packet_size: int,
     state is checkpointed once and restored on every later run with the
     same key — bit-identical to warming up from scratch.
     """
-    node = build_node(config, app_name, app_options, seed=seed)
-    loadgen = node.attach_loadgen()
-    _node_class, _app_class, echoes = APP_REGISTRY[app_name]
+    node, _simulated = _fixed_load_node(config, app_name, packet_size,
+                                        app_options, warmup_us, seed,
+                                        warmup_cache)
+    loadgen = node.loadgen
+    echoes = APP_REGISTRY[app_name][2]
     effective_gbps = _effective_rate(config, gbps, packet_size)
-    plan = _fixed_load_plan(config, packet_size, echoes, warmup_us)
-    cache = warmup_cache if warmup_cache is not None \
-        else warmup_cache_from_env()
-    key = None
-    restored = False
-    if cache is not None:
-        key = warmup_key(config, app_name, packet_size, app_options, plan,
-                         seed, node.sim.tracer._options_signature())
-        snapshot = cache.get(key)
-        if snapshot is not None:
-            try:
-                node.restore(snapshot)
-                restored = True
-            except CheckpointError:
-                # Schema drift that survived the digest check (a snapshot
-                # from a different code version): drop it and warm up from
-                # scratch on a rebuilt node (restore may have partially
-                # mutated this one).
-                cache.discard(key)
-                node = build_node(config, app_name, app_options, seed=seed)
-                loadgen = node.attach_loadgen()
-    if not restored:
-        node.start()
-        node.warmup_and_reset(plan)
-        if cache is not None:
-            cache.put(key, node.checkpoint(
-                extra_meta={"phase": "warmup", "packet_size": packet_size}))
 
     # Measured phase — identical code whether the warm-up was simulated
     # or restored from a checkpoint.
@@ -321,14 +322,7 @@ def run_fixed_load(config: SystemConfig, app_name: str, packet_size: int,
     # through its queued backlog (heavily-overloaded runs hold hundreds of
     # packets in the FIFO and rings).
     node.run_us(2 * config.link_delay_us + 200.0)
-    for _ in range(40):
-        nic = node.nic
-        if (len(nic.rx_fifo) == 0 and nic.rx_ring.completed_count == 0
-                and nic.rx_ring.pending_writeback_count == 0
-                and nic.tx_ring.occupancy == 0):
-            break
-        node.run_us(200.0)
-    node.run_us(2 * config.link_delay_us + 100.0)
+    _drain_nic(node, config)
     trace_digest = _finalize_run(node)
 
     sent = loadgen.tx_packets
@@ -411,6 +405,46 @@ def _memcached_plan(config: SystemConfig) -> WarmupPlan:
     )
 
 
+def _memcached_node(config: SystemConfig, kernel: bool,
+                    client_config: Optional[MemcachedClientConfig],
+                    n_requests: int, rate_rps: float, seed: int,
+                    warmup_cache: Optional[WarmupCache],
+                    prewarm: bool = False):
+    """:func:`~repro.harness.warmup_cache.warm_start` for a memcached
+    run: a server node with a client attached (``n_requests`` at
+    ``rate_rps``, the rest from ``client_config``), warmed up at the
+    canonical request rate or restored from the cache."""
+    app_name = "memcached_kernel" if kernel else "memcached_dpdk"
+    base = client_config or MemcachedClientConfig()
+    plan = _memcached_plan(config)
+    # Only the warm-relevant client parameters key the snapshot: the
+    # measured rate and request count start after the checkpoint moment.
+    warm_client = {name: getattr(base, name)
+                   for name in ("n_warm_keys", "get_fraction", "size_min",
+                                "size_max", "size_skew", "distribution")}
+
+    def build():
+        node = build_node(config, app_name, seed=seed)
+        node.attach_memcached_client(MemcachedClientConfig(
+            n_requests=n_requests, rate_rps=rate_rps, **warm_client))
+        return node
+
+    def key(node) -> str:
+        return warmup_key(config, app_name, 0, {"client": warm_client},
+                          plan, seed, node.sim.tracer._options_signature())
+
+    def warm_up(node) -> None:
+        node.memcached_client.preload(node.app.store)   # functional warm-up
+        node.start()
+        # Packet-driven warm-up: bring caches/BTB-analogue state to steady
+        # state at a comfortable rate before measuring (paper §VI.A).
+        node.warmup_and_reset(plan)
+
+    return warm_start(warmup_cache, build, key, warm_up,
+                      {"phase": "warmup", "kernel": kernel},
+                      prewarm=prewarm)
+
+
 def prewarm_memcached(config: SystemConfig, kernel: bool,
                       client_config: Optional[MemcachedClientConfig] = None,
                       seed: int = 0,
@@ -426,43 +460,9 @@ def prewarm_memcached(config: SystemConfig, kernel: bool,
     Returns True when a fresh snapshot was simulated and stored, False
     on a cache hit or when no cache is configured.
     """
-    cache = warmup_cache if warmup_cache is not None \
-        else warmup_cache_from_env()
-    if cache is None:
-        return False
-    app_name = "memcached_kernel" if kernel else "memcached_dpdk"
-    base = client_config or MemcachedClientConfig()
-    node = build_node(config, app_name, seed=seed)
-    client = node.attach_memcached_client(MemcachedClientConfig(
-        n_warm_keys=base.n_warm_keys,
-        n_requests=CANONICAL_WARM_REQUESTS,
-        get_fraction=base.get_fraction,
-        size_min=base.size_min,
-        size_max=base.size_max,
-        size_skew=base.size_skew,
-        rate_rps=CANONICAL_WARM_RPS,
-        distribution=base.distribution,
-    ))
-    plan = _memcached_plan(config)
-    warm_options = {"client": {
-        "n_warm_keys": base.n_warm_keys,
-        "get_fraction": base.get_fraction,
-        "size_min": base.size_min,
-        "size_max": base.size_max,
-        "size_skew": base.size_skew,
-        "distribution": base.distribution,
-    }}
-    key = warmup_key(config, app_name, 0, warm_options, plan, seed,
-                     node.sim.tracer._options_signature())
-    if cache.get(key) is not None:
-        return False
-    client.preload(node.app.store)
-    node.start()
-    node.warmup_and_reset(plan)
-    cache.put(key, node.checkpoint(
-        extra_meta={"phase": "warmup", "kernel": kernel}))
-    cache.get(key)   # validated read-back seeds the in-memory memo
-    return True
+    return _memcached_node(config, kernel, client_config,
+                           CANONICAL_WARM_REQUESTS, CANONICAL_WARM_RPS,
+                           seed, warmup_cache, prewarm=True)[1]
 
 
 def run_memcached(config: SystemConfig, kernel: bool, rate_rps: float,
@@ -472,59 +472,10 @@ def run_memcached(config: SystemConfig, kernel: bool, rate_rps: float,
                   warmup_cache: Optional[WarmupCache] = None
                   ) -> MemcachedRunResult:
     """Load a memcached server (kernel or DPDK) at a fixed request rate."""
-    app_name = "memcached_kernel" if kernel else "memcached_dpdk"
-    base = client_config or MemcachedClientConfig()
-
-    def make_client_config() -> MemcachedClientConfig:
-        return MemcachedClientConfig(
-            n_warm_keys=base.n_warm_keys,
-            n_requests=n_requests,
-            get_fraction=base.get_fraction,
-            size_min=base.size_min,
-            size_max=base.size_max,
-            size_skew=base.size_skew,
-            rate_rps=rate_rps,
-            distribution=base.distribution,
-        )
-
-    node = build_node(config, app_name, seed=seed)
-    client = node.attach_memcached_client(make_client_config())
-    plan = _memcached_plan(config)
-    # Only the warm-relevant client parameters key the snapshot: the
-    # measured rate and request count start after the checkpoint moment.
-    warm_options = {"client": {
-        "n_warm_keys": base.n_warm_keys,
-        "get_fraction": base.get_fraction,
-        "size_min": base.size_min,
-        "size_max": base.size_max,
-        "size_skew": base.size_skew,
-        "distribution": base.distribution,
-    }}
-    cache = warmup_cache if warmup_cache is not None \
-        else warmup_cache_from_env()
-    key = None
-    restored = False
-    if cache is not None:
-        key = warmup_key(config, app_name, 0, warm_options, plan, seed,
-                         node.sim.tracer._options_signature())
-        snapshot = cache.get(key)
-        if snapshot is not None:
-            try:
-                node.restore(snapshot)
-                restored = True
-            except CheckpointError:
-                cache.discard(key)
-                node = build_node(config, app_name, seed=seed)
-                client = node.attach_memcached_client(make_client_config())
-    if not restored:
-        client.preload(node.app.store)   # functional warm-up (5000 keys)
-        node.start()
-        # Packet-driven warm-up: bring caches/BTB-analogue state to steady
-        # state at a comfortable rate before measuring (paper §VI.A).
-        node.warmup_and_reset(plan)
-        if cache is not None:
-            cache.put(key, node.checkpoint(
-                extra_meta={"phase": "warmup", "kernel": kernel}))
+    node, _simulated = _memcached_node(config, kernel, client_config,
+                                       n_requests, rate_rps, seed,
+                                       warmup_cache)
+    client = node.memcached_client
 
     # Measured phase — identical code whether the warm-up was simulated
     # or restored from a checkpoint.
@@ -532,14 +483,7 @@ def run_memcached(config: SystemConfig, kernel: bool, rate_rps: float,
     # Run to completion of the request phase, then drain the backlog.
     duration_us = n_requests / rate_rps * 1e6
     node.run_us(duration_us + 2 * config.link_delay_us + 500.0)
-    for _ in range(40):
-        nic = node.nic
-        if (len(nic.rx_fifo) == 0 and nic.rx_ring.completed_count == 0
-                and nic.rx_ring.pending_writeback_count == 0
-                and nic.tx_ring.occupancy == 0):
-            break
-        node.run_us(200.0)
-    node.run_us(2 * config.link_delay_us + 100.0)
+    _drain_nic(node, config)
     trace_digest = _finalize_run(node)
     # End-to-end drops under-count in short overloaded runs (the ring and
     # FIFO buffer a bounded backlog that eventually drains); the NIC's own

@@ -31,7 +31,7 @@ import json
 import os
 from dataclasses import asdict
 from pathlib import Path
-from typing import Any, Dict, Optional
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.sim.checkpoint import (
     CHECKPOINT_FORMAT,
@@ -185,3 +185,50 @@ def warmup_cache_from_env() -> Optional[WarmupCache]:
         cache = WarmupCache(root)
         _caches_by_root[resolved] = cache
     return cache
+
+
+def warm_start(cache: Optional[WarmupCache], build: Callable[[], Any],
+               key: Callable[[Any], str], warm_up: Callable[[Any], None],
+               meta: Dict[str, Any], prewarm: bool = False
+               ) -> Tuple[Any, bool]:
+    """The one warm-up protocol of every harness entry point.
+
+    ``build()`` returns the fully attached rig (a node or a fabric),
+    ``key(rig)`` its :func:`warmup_key`, and ``warm_up(rig)`` simulates
+    the warm-up and resets statistics.  ``cache`` defaults to
+    :func:`warmup_cache_from_env`.  A stored snapshot is restored; one
+    that fails to restore is discarded and the warm-up re-simulated on
+    a rebuilt rig, then checkpointed with ``meta`` and stored.
+    ``prewarm=True`` only fills the cache: no restore on a hit, and a
+    validated read-back of a fresh snapshot to seed the memo.
+
+    Returns ``(rig, simulated)``, ``rig`` None when prewarming without a
+    cache.
+    """
+    if cache is None:
+        cache = warmup_cache_from_env()
+    if cache is None and prewarm:
+        return None, False
+    rig = build()
+    entry = key(rig) if cache is not None else None
+    if entry is not None:
+        snapshot = cache.get(entry)
+        if snapshot is not None:
+            if prewarm:
+                return rig, False
+            try:
+                rig.restore(snapshot)
+                return rig, False
+            except CheckpointError:
+                # Schema drift that survived the digest check (a snapshot
+                # from a different code version): drop it and warm up
+                # from scratch on a rebuilt rig (restore may have
+                # partially mutated this one).
+                cache.discard(entry)
+                rig = build()
+    warm_up(rig)
+    if entry is not None:
+        cache.put(entry, rig.checkpoint(extra_meta=meta))
+        if prewarm:
+            cache.get(entry)   # validated read-back seeds the memo
+    return rig, True

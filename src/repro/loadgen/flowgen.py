@@ -12,8 +12,8 @@ need:
   with an intra-group (pod / leaf) load fraction;
 - :class:`FlowTrafficGenerator`: a SimObject that starts flows into a
   fabric at a Poisson rate derived from the offered load, collects
-  per-flow completion times into a stats distribution, and exposes a
-  deterministic ``flow_digest`` over the completion records.
+  per-flow completion times into a stats distribution, and keeps the
+  completion records that :func:`flow_digest_from` hashes.
 
 The on-disk flow trace format follows the cross-DC generator this is
 modeled on: first line is the flow count, then one line per flow of
@@ -345,9 +345,10 @@ def flow_digest_from(window_started: int, record_tuples: Iterable[Tuple]
                      ) -> str:
     """SHA-256 over a window's completion records (sorted).
 
-    The one digest definition both the live generator and the sharded
-    runner's merge use, so a merged multi-process window hashes
-    identically to the single-process window it reproduces.
+    Independent of the tracer (which is off by default), wall clocks,
+    the global packet-id counter and how the records are split over
+    shards — the determinism anchor for reruns, goldens,
+    restore-equivalence and sharded runs.
     """
     payload = {
         "started": window_started,
@@ -358,14 +359,16 @@ def flow_digest_from(window_started: int, record_tuples: Iterable[Tuple]
 
 
 def fct_summary_from(records: Iterable[FlowRecord]) -> dict:
-    """FCT percentile summary rebuilt from completion records.
+    """FCT percentile summary of a window's completion records.
 
-    Samples are fed in ``(end_tick, flow_id)`` order — the order the
-    completions fired in a single event queue — so the summary of a
-    cross-shard merge matches the live generator's bit for bit.
+    Samples are fed in ``end_tick`` order, ties in the order given (the
+    sort is stable).  One shard's records are in the order its
+    completions fired, so a one-shard summary sums its samples exactly
+    as the shard's own ``fct_us`` distribution does; records from
+    several shards are concatenated shard by shard.
     """
     dist = Distribution("fct_us")
-    for r in sorted(records, key=lambda r: (r.end_tick, r.flow_id)):
+    for r in sorted(records, key=lambda r: r.end_tick):
         dist.sample(r.fct_us)
     summary = dict(dist.summary())
     if dist.count:
@@ -475,28 +478,6 @@ class FlowTrafficGenerator(SimObject):
     @property
     def flows_started(self) -> int:
         return self._window_started
-
-    @property
-    def flows_completed(self) -> int:
-        return len(self._records)
-
-    def fct_summary(self) -> dict:
-        """FCT percentiles for the stats digest (all values in us)."""
-        summary = dict(self.fct_us.summary())
-        if self.fct_us.count:
-            summary["p50"] = self.fct_us.percentile(50.0)
-            summary["p999"] = self.fct_us.percentile(99.9)
-        return summary
-
-    def flow_digest(self) -> str:
-        """SHA-256 over the sorted completion records of this window.
-
-        Independent of the tracer (which is off by default), wall
-        clocks, and the global packet-id counter — the determinism
-        anchor for reruns, goldens, and restore-equivalence.
-        """
-        return flow_digest_from(self._window_started,
-                                (r.as_tuple() for r in self._records))
 
     def on_stats_reset(self) -> None:
         self._records = []

@@ -46,7 +46,7 @@ from repro.sim.channel import ChannelHalf
 from repro.sim.checkpoint import CheckpointError, seal, verify
 from repro.sim.event_queue import EventPool, batching_enabled
 from repro.sim.simobject import SimObject, Simulation
-from repro.sim.ticks import ns_to_ticks, us_to_ticks
+from repro.sim.ticks import ns_to_ticks
 
 # Drop-cause taxonomy (see docs/fabrics.md): every lost frame is charged
 # to exactly one cause, and conservation invariants close over them.
@@ -596,10 +596,11 @@ class _RemoteSwitchStub:
 class Fabric:
     """A built fabric: hosts + switches + links + the wiring graph.
 
-    Mirrors the :class:`repro.system.node._BaseNode` control surface —
-    ``run_us`` / ``drain_to_quiescence`` / ``reset_measurement`` /
-    ``checkpoint`` / ``restore`` — so the warm-up cache, the sweep
-    executor and the CLI drive a fabric exactly like a single node.
+    Shares the :class:`repro.system.node._BaseNode` checkpoint surface —
+    ``reset_measurement`` / ``checkpoint`` / ``restore`` — so the
+    warm-up cache, the sweep executor and the CLI handle a fabric like
+    a single node; the phase driver in :mod:`repro.harness.fabric`
+    advances it.
 
     With a ``shard_plan`` (see :mod:`repro.dist.shard`) the builders
     construct only this shard's slice of the topology: remote hosts and
@@ -781,19 +782,6 @@ class Fabric:
         return sum(h.stat_processed.value for h in self.local_hosts)
 
     # -- simulation control --------------------------------------------------
-
-    def run_us(self, microseconds: float) -> int:
-        return self.sim.run(until=self.sim.now + us_to_ticks(microseconds))
-
-    def drain_to_quiescence(self, chunk_us: float = 200.0,
-                            max_chunks: int = 400) -> None:
-        for _ in range(max_chunks):
-            if self._checkpoint_ready():
-                return
-            self.run_us(chunk_us)
-        raise CheckpointError(
-            f"{self.label}: fabric failed to reach quiescence after "
-            f"{max_chunks} drain chunks of {chunk_us}us")
 
     def _checkpoint_ready(self) -> bool:
         if not self.quiescent():

@@ -369,11 +369,6 @@ class ChannelGroup:
             incoming = exchange(self.epoch, horizon, outgoing)
             self.finish_epoch(horizon, incoming)
 
-    @property
-    def in_flight(self) -> int:
-        """Frames somewhere between a local device and a peer device."""
-        return sum(h.in_flight for h in self.halves)
-
 
 class InProcessCoupler:
     """Run several shards' channel groups in lockstep in one process.

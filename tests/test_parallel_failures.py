@@ -1,7 +1,8 @@
 """Failure paths of the parallel sweep executor.
 
-The ``_poison_*`` sweep point kinds inject worker misbehaviour without
-running any simulation:
+The ``_poison_*`` sweep point kinds (registered by the ``poison_kinds``
+fixture in ``conftest.py``) inject worker misbehaviour without running
+any simulation:
 
 - ``_poison_raise``       the handler raises (in worker and in-process)
 - ``_poison_hang``        the handler sleeps forever (timeout path)
@@ -38,6 +39,9 @@ from repro.harness.parallel import (
 from repro.harness.runner import _fixed_load_plan, build_node
 from repro.harness.warmup_cache import WarmupCache, warmup_key
 from repro.system.presets import gem5_default
+
+
+pytestmark = pytest.mark.usefixtures("poison_kinds")
 
 
 def _poison(kind: str, n: int = 1):

@@ -106,6 +106,17 @@ def test_run_until_advances_time_without_events(queue):
     assert queue.now == 12345
 
 
+def test_run_until_ends_at_the_horizon_after_draining(queue):
+    # A queue that drains mid-horizon still ends at the horizon, so
+    # several queues run to the same target agree on "now" (the fabric
+    # phase driver relies on it to advance every shard to one tick).
+    fired = []
+    queue.schedule(Event(lambda: fired.append(queue.now)), 10)
+    assert queue.run(until=100) == 100
+    assert fired == [10]
+    assert queue.now == 100
+
+
 def test_run_max_events(queue):
     fired = []
     for i in range(10):
