@@ -42,7 +42,6 @@ the shard is raised.  No deadlocked peers, no orphan processes.
 
 from __future__ import annotations
 
-import multiprocessing
 import queue as queue_lib
 import time
 from dataclasses import asdict, dataclass
@@ -58,6 +57,7 @@ from repro.harness.fabric import (
     measured_config,
     warm_up_fabric,
 )
+from repro.harness.parallel import default_mp_context
 from repro.loadgen.flowgen import FlowGenConfig
 from repro.net.fabric import FabricConfig
 from repro.sim.channel import ChannelError, ChannelGroup
@@ -153,15 +153,6 @@ def plan_fabric_shards(config: FabricConfig, n_shards: int) -> ShardPlan:
     return ShardPlan(n_shards=n_shards, hosts=hosts, switches=switches)
 
 
-def _mp_context():
-    # fork is cheap and inherits imported modules; fall back to the
-    # platform default (spawn on macOS/Windows) when unavailable.
-    methods = multiprocessing.get_all_start_methods()
-    if "fork" in methods:
-        return multiprocessing.get_context("fork")
-    return multiprocessing.get_context()
-
-
 def _shard_worker(shard_id: int, plan: ShardPlan, config: SystemConfig,
                   preset: str, stack: str, seed: int,
                   cmd_q, resp_q, send_qs: Dict[int, object],
@@ -236,7 +227,7 @@ class _ShardCoordinator:
         self.plan = plan
         self.now = 0
         self._statuses: List[dict] = []
-        ctx = _mp_context()
+        ctx = default_mp_context()
         n = plan.n_shards
         self.cmd_qs = [ctx.Queue() for _ in range(n)]
         self.resp_qs = [ctx.Queue() for _ in range(n)]

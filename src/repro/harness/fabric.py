@@ -158,13 +158,6 @@ def build_fabric_rig(config: SystemConfig, preset: str, stack: str,
     return fabric
 
 
-def _warm_key(config: SystemConfig, fabric: Fabric, preset: str, stack: str,
-              plan: FabricWarmupPlan, seed: int) -> str:
-    app_options = {"fabric": fabric.config.canonical_dict()}
-    return warmup_key(config, f"fabric:{preset}:{stack}", 0, app_options,
-                      plan, seed, fabric.sim.tracer._options_signature())
-
-
 def measured_config(pattern: str, load: float, n_flows: int,
                     size_cdf: str) -> FlowGenConfig:
     """The measured phase's generator config (fails fast on unknown
@@ -333,10 +326,13 @@ def _fabric_rig(config: SystemConfig, preset: str, stack: str, seed: int,
     """:func:`~repro.harness.warmup_cache.warm_start` for a one-shard
     fabric run."""
     plan = FabricWarmupPlan()
+    fabric_options = {
+        "fabric": fabric_config_for(config, preset, stack).canonical_dict()}
     return warm_start(
         warmup_cache,
+        warmup_key(config, f"fabric:{preset}:{stack}", 0, fabric_options,
+                   plan, seed),
         lambda: build_fabric_rig(config, preset, stack, seed=seed),
-        lambda fabric: _warm_key(config, fabric, preset, stack, plan, seed),
         lambda fabric: warm_up_fabric(_InProcessFabric(fabric), plan),
         {"phase": "warmup"}, prewarm=prewarm)
 
@@ -367,10 +363,9 @@ def run_fabric(config: SystemConfig, preset: str, stack: str,
     """Run one open-loop flow phase through a fabric and measure FCTs.
 
     Warm-up runs a canonical uniform trickle, drains, and resets
-    statistics; with ``warmup_cache`` (or ``REPRO_WARMUP_CACHE``) set,
-    that state is checkpointed once and restored on every later run
-    with the same key — bit-identical to warming up from scratch, and
-    shared across patterns and loads.
+    statistics; with a ``warmup_cache``, that state is checkpointed once
+    and restored on every later run with the same key — bit-identical
+    to warming up from scratch, and shared across patterns and loads.
     """
     measured = measured_config(pattern, load, n_flows, size_cdf)
     fabric, _simulated = _fabric_rig(config, preset, stack, seed,

@@ -66,7 +66,7 @@ import tempfile
 import time
 import traceback
 from collections import deque
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
@@ -84,7 +84,7 @@ from repro.harness.runner import (
     run_fixed_load,
     run_memcached,
 )
-from repro.harness.warmup_cache import WARMUP_CACHE_ENV, drop_warmup_cache
+from repro.harness.warmup_cache import WarmupCache
 from repro.sim.invariants import InvariantViolation
 from repro.sim.rng import DeterministicRng
 from repro.system.config import SystemConfig
@@ -210,38 +210,40 @@ def fabric_point(config: SystemConfig, preset: str, stack: str,
 # Point execution and result (de)serialisation
 # ----------------------------------------------------------------------
 
-def _run_fixed(point: SweepPoint):
+def _run_fixed(point: SweepPoint, cache: Optional[WarmupCache]):
     return run_fixed_load(point.config, point.app, point.packet_size,
                           point.load, n_packets=point.n_packets,
                           app_options=point.app_options,
-                          seed=point.effective_seed)
+                          seed=point.effective_seed, warmup_cache=cache)
 
 
-def _run_memcached(point: SweepPoint):
+def _run_memcached(point: SweepPoint, cache: Optional[WarmupCache]):
     kernel = point.app == "memcached_kernel"
     return run_memcached(point.config, kernel, point.load,
                          n_requests=point.n_packets,
-                         seed=point.effective_seed)
+                         seed=point.effective_seed, warmup_cache=cache)
 
 
-def _run_msb(point: SweepPoint):
+def _run_msb(point: SweepPoint, cache: Optional[WarmupCache]):
     return find_msb(point.config, point.app, point.packet_size,
                     max_gbps=point.load, n_packets=point.n_packets,
                     app_options=point.app_options,
-                    seed=point.effective_seed)
+                    seed=point.effective_seed, warmup_cache=cache)
 
 
-def _run_fabric(point: SweepPoint):
+def _run_fabric(point: SweepPoint, cache: Optional[WarmupCache]):
     preset, stack = point.app.rsplit(":", 1)
     opts = point.app_options or {}
     return run_fabric(point.config, preset, stack,
                       pattern=opts.get("pattern", "uniform"),
                       load=point.load, n_flows=point.n_packets,
                       size_cdf=opts.get("size_cdf", "smoke"),
-                      seed=point.effective_seed)
+                      seed=point.effective_seed, warmup_cache=cache)
 
 
-_KIND_HANDLERS: Dict[str, Callable[[SweepPoint], Any]] = {
+#: Each handler runs one point with the sweep's warm-up cache (or None).
+_KIND_HANDLERS: Dict[str, Callable[[SweepPoint, Optional[WarmupCache]],
+                                   Any]] = {
     KIND_FIXED_LOAD: _run_fixed,
     KIND_MEMCACHED: _run_memcached,
     KIND_MSB: _run_msb,
@@ -249,15 +251,17 @@ _KIND_HANDLERS: Dict[str, Callable[[SweepPoint], Any]] = {
 }
 
 
-def execute_point(point: SweepPoint):
+def execute_point(point: SweepPoint,
+                  warmup_cache: Optional[WarmupCache] = None):
     """Run one sweep point in the current process, returning the result
     object (:class:`FixedLoadResult` / :class:`MemcachedRunResult` /
-    :class:`MsbResult`)."""
+    :class:`MsbResult` / :class:`FabricRunResult`).  ``warmup_cache``
+    shares warm-up snapshots across points."""
     handler = _KIND_HANDLERS.get(point.kind)
     if handler is None:
         raise ValueError(f"unknown sweep point kind {point.kind!r}; "
                          f"expected one of {sorted(_KIND_HANDLERS)}")
-    return handler(point)
+    return handler(point, warmup_cache)
 
 
 _RESULT_TYPES = {
@@ -409,8 +413,8 @@ class ExecutorStats:
         return dict(asdict(self))
 
 
-def _persistent_worker_main(task_queue, result_queue,
-                            worker_id: int) -> None:
+def _persistent_worker_main(task_queue, result_queue, worker_id: int,
+                            warmup_cache: Optional[WarmupCache]) -> None:
     """Persistent worker: loop over dispatched batches until poisoned.
 
     Each batch is a list of ``(index, point)`` tasks; ``None`` is the
@@ -422,7 +426,8 @@ def _persistent_worker_main(task_queue, result_queue,
     once per point.  A failing point flushes the outcomes gathered so
     far immediately and abandons the rest of the batch: the parent
     aborts the sweep on any error/invariant verdict, so finishing the
-    batch first would only delay it.
+    batch first would only delay it.  ``warmup_cache`` is the
+    executor's: a forked worker inherits its in-memory memo.
     """
     while True:
         batch = task_queue.get()
@@ -433,7 +438,7 @@ def _persistent_worker_main(task_queue, result_queue,
         for index, point in batch:
             result_queue.put(("start", worker_id, index))
             try:
-                payload = encode_result(execute_point(point))
+                payload = encode_result(execute_point(point, warmup_cache))
             except InvariantViolation as exc:
                 # The simulation itself is inconsistent: carry the
                 # verdict (not a bare traceback) so the driver can name
@@ -452,38 +457,15 @@ def _persistent_worker_main(task_queue, result_queue,
         result_queue.put(("batch", worker_id, outcomes))
 
 
-def _warm_signature(point: SweepPoint):
-    """A hashable stand-in for the point's warm-up checkpoint key.
-
-    Cheaper than the real :func:`~repro.harness.warmup_cache.warmup_key`
-    (which needs a built node for the tracer signature): two points with
-    equal signatures share one warm-up snapshot.  Offered load is absent
-    by design — that is the property the cache exists for.  ``None``
-    means the kind has no warm-up to share (test-registered kinds).
-    """
-    if point.config is None or point.kind not in (
-            KIND_FIXED_LOAD, KIND_MEMCACHED, KIND_MSB, KIND_FABRIC):
-        return None
-    return (
-        point.kind,
-        json.dumps(point.config.canonical_dict(), sort_keys=True,
-                   default=repr),
-        point.app,
-        point.packet_size,
-        json.dumps(point.app_options or {}, sort_keys=True),
-        point.effective_seed,
-    )
-
-
-def prewarm_point(point: SweepPoint) -> bool:
-    """Populate the warm-up checkpoint cache for one sweep point without
-    running its measured phase.  Returns True when a warm-up was
-    simulated and stored; False on a cache hit, a kind with no warm-up,
-    or when no cache is configured (``REPRO_WARMUP_CACHE`` unset)."""
+def prewarm_point(point: SweepPoint, warmup_cache: WarmupCache) -> bool:
+    """Populate ``warmup_cache`` for one sweep point without running its
+    measured phase.  Returns True when a warm-up was simulated and
+    stored; False on a cache hit or a kind with no warm-up."""
     if point.kind == KIND_FIXED_LOAD:
         return prewarm_fixed_load(
             point.config, point.app, point.packet_size,
-            app_options=point.app_options, seed=point.effective_seed)
+            app_options=point.app_options, seed=point.effective_seed,
+            warmup_cache=warmup_cache)
     if point.kind == KIND_MSB:
         # find_msb's first probe runs with the saturation warm-up window
         # and the point's effective seed; prewarm exactly that key.
@@ -491,23 +473,25 @@ def prewarm_point(point: SweepPoint) -> bool:
             point.config, point.app, point.packet_size,
             app_options=point.app_options,
             warmup_us=_saturation_warmup_us(point.config),
-            seed=point.effective_seed)
+            seed=point.effective_seed, warmup_cache=warmup_cache)
     if point.kind == KIND_MEMCACHED:
         return prewarm_memcached(
             point.config, point.app == "memcached_kernel",
-            seed=point.effective_seed)
+            seed=point.effective_seed, warmup_cache=warmup_cache)
     if point.kind == KIND_FABRIC:
         preset, stack = point.app.rsplit(":", 1)
         return prewarm_fabric(point.config, preset, stack,
-                              seed=point.effective_seed)
+                              seed=point.effective_seed,
+                              warmup_cache=warmup_cache)
     return False
 
 
-def _default_context():
-    # fork is cheap and inherits test-registered state; fall back to the
-    # platform default (spawn on macOS/Windows) when unavailable.
-    methods = multiprocessing.get_all_start_methods()
-    if "fork" in methods:
+def default_mp_context():
+    """The multiprocessing context for sweep workers and fabric shards:
+    fork, which is cheap and lets children inherit the parent's imports,
+    test-registered state and warm-up memo; the platform default
+    (spawn on macOS/Windows) where fork is unavailable."""
+    if "fork" in multiprocessing.get_all_start_methods():
         return multiprocessing.get_context("fork")
     return multiprocessing.get_context()
 
@@ -528,17 +512,16 @@ class SweepExecutor:
         Extra attempts after the first for crashed or timed-out workers.
     warmup_cache_dir:
         Directory for the shared warm-up checkpoint cache (see
-        :mod:`repro.harness.warmup_cache`).  Exported around each
-        :meth:`run` so both the in-process path and worker processes
-        (which inherit the environment) pick it up.  ``None`` leaves
-        the ``REPRO_WARMUP_CACHE`` environment as-is — except with
-        ``jobs > 1``, where (when the environment is also unset) the
-        executor provisions an *ephemeral* warm-up cache for the run:
-        warm-up sharing is what lets persistent workers fork after one
-        prewarmed checkpoint instead of each re-simulating it, so the
-        parallel mode carries its own.  The ephemeral directory is
-        deleted when :meth:`run` returns; restored warm-ups are
-        bit-identical to simulated ones, so results are unaffected.
+        :mod:`repro.harness.warmup_cache`).  The executor owns one
+        :class:`WarmupCache` on it and hands that object to every point
+        it runs, in process or in a worker.  With ``None`` and
+        ``jobs > 1`` the executor provisions an *ephemeral* warm-up
+        cache for each :meth:`run`: warm-up sharing is what lets
+        persistent workers fork after one prewarmed checkpoint instead
+        of each re-simulating it, so the parallel mode carries its own.
+        The ephemeral directory is deleted when :meth:`run` returns;
+        restored warm-ups are bit-identical to simulated ones, so
+        results are unaffected.
     """
 
     def __init__(self, jobs: int = 1, cache_dir=None,
@@ -550,9 +533,9 @@ class SweepExecutor:
         self.cache = ResultCache(cache_dir) if cache_dir else None
         self.timeout_s = float(timeout_s)
         self.max_retries = int(max_retries)
-        self.warmup_cache_dir = (str(warmup_cache_dir)
-                                 if warmup_cache_dir else None)
-        self._ctx = mp_context or _default_context()
+        self.warmup_cache = (WarmupCache(warmup_cache_dir)
+                             if warmup_cache_dir else None)
+        self._ctx = mp_context or default_mp_context()
         self.stats = ExecutorStats()
 
     # -- public API ----------------------------------------------------
@@ -563,32 +546,19 @@ class SweepExecutor:
         Identical points (same cache key, hence provably the same
         deterministic result) are computed once and shared.
         """
-        warm_dir = self.warmup_cache_dir
-        ephemeral = None
-        if (warm_dir is None and self.jobs > 1
-                and not os.environ.get(WARMUP_CACHE_ENV)):
-            # Parallel mode carries its own warm-up sharing: workers
-            # fork after the parent prewarms one checkpoint per shared
-            # warm-up state (see _prewarm) instead of each worker
-            # re-simulating it.
-            ephemeral = tempfile.mkdtemp(prefix="repro-warm-")
-            warm_dir = ephemeral
-        if warm_dir is None:
-            return self._run(points)
-        previous = os.environ.get(WARMUP_CACHE_ENV)
-        os.environ[WARMUP_CACHE_ENV] = warm_dir
+        if self.warmup_cache is not None or self.jobs == 1:
+            return self._run(points, self.warmup_cache)
+        # Parallel mode carries its own warm-up sharing: workers fork
+        # after the parent prewarms one checkpoint per shared warm-up
+        # state (see _prewarm) instead of each re-simulating it.
+        ephemeral = tempfile.mkdtemp(prefix="repro-warm-")
         try:
-            return self._run(points)
+            return self._run(points, WarmupCache(ephemeral))
         finally:
-            if previous is None:
-                os.environ.pop(WARMUP_CACHE_ENV, None)
-            else:
-                os.environ[WARMUP_CACHE_ENV] = previous
-            if ephemeral is not None:
-                drop_warmup_cache(ephemeral)
-                shutil.rmtree(ephemeral, ignore_errors=True)
+            shutil.rmtree(ephemeral, ignore_errors=True)
 
-    def _run(self, points: Sequence[SweepPoint]) -> List[Any]:
+    def _run(self, points: Sequence[SweepPoint],
+             warmup_cache: Optional[WarmupCache]) -> List[Any]:
         t0 = time.monotonic()
         points = list(points)
         results: List[Optional[dict]] = [None] * len(points)
@@ -620,9 +590,11 @@ class SweepExecutor:
 
         if unique:
             if self.jobs == 1 or len(unique) == 1:
-                executed = self._run_serial(unique, points)
+                executed = {i: self._execute_in_process(points[i],
+                                                        warmup_cache)
+                            for i in unique}
             else:
-                executed = self._run_parallel(unique, points)
+                executed = self._run_parallel(unique, points, warmup_cache)
             for i, payload in executed.items():
                 results[i] = payload
                 self.stats.executed += 1
@@ -638,16 +610,10 @@ class SweepExecutor:
 
     # -- serial path ---------------------------------------------------
 
-    def _run_serial(self, indices: List[int],
-                    points: List[SweepPoint]) -> Dict[int, dict]:
-        out: Dict[int, dict] = {}
-        for i in indices:
-            out[i] = self._execute_in_process(points[i])
-        return out
-
-    def _execute_in_process(self, point: SweepPoint) -> dict:
+    def _execute_in_process(self, point: SweepPoint,
+                            warmup_cache: Optional[WarmupCache]) -> dict:
         try:
-            return encode_result(execute_point(point))
+            return encode_result(execute_point(point, warmup_cache))
         except InvariantViolation as exc:
             raise SweepInvariantError(point, str(exc)) from exc
         except Exception as exc:
@@ -656,8 +622,8 @@ class SweepExecutor:
 
     # -- parallel path -------------------------------------------------
 
-    def _prewarm(self, indices: List[int],
-                 points: List[SweepPoint]) -> None:
+    def _prewarm(self, indices: List[int], points: List[SweepPoint],
+                 warmup_cache: WarmupCache) -> None:
         """Simulate shared warm-up snapshots in the parent, pre-fork.
 
         Only warm-up states that more than one pending point restores
@@ -666,30 +632,26 @@ class SweepExecutor:
         states the parent pays once and every forked worker inherits
         the parsed snapshot through copy-on-write memory — without
         this, each worker re-simulates or re-parses the same warm-up.
-        Failures are left for the workers to surface with a proper
-        point-naming verdict.
+        Points that differ only in offered load share one warm-up state
+        (their RNG label excludes the load, see
+        :attr:`SweepPoint.rng_label`), so the result-cache key of the
+        point at load 0 groups them.  Failures are left for the workers
+        to surface with a proper point-naming verdict.
         """
-        if not os.environ.get(WARMUP_CACHE_ENV):
-            return
-        counts: Dict[Any, int] = {}
+        groups: Dict[str, List[int]] = {}
         for i in indices:
-            signature = _warm_signature(points[i])
-            if signature is not None:
-                counts[signature] = counts.get(signature, 0) + 1
-        prewarmed = set()
-        for i in indices:
-            signature = _warm_signature(points[i])
-            if (signature is None or counts[signature] < 2
-                    or signature in prewarmed):
+            groups.setdefault(cache_key(replace(points[i], load=0.0)),
+                              []).append(i)
+        for members in groups.values():
+            if len(members) < 2:
                 continue
-            prewarmed.add(signature)
             try:
-                prewarm_point(points[i])
+                prewarm_point(points[members[0]], warmup_cache)
             except Exception:
                 pass
 
-    def _run_parallel(self, indices: List[int],
-                      points: List[SweepPoint]) -> Dict[int, dict]:
+    def _run_parallel(self, indices: List[int], points: List[SweepPoint],
+                      warmup_cache: WarmupCache) -> Dict[int, dict]:
         """Persistent-worker scheduler with timeout, retry, fallback.
 
         Workers fork after :meth:`_prewarm` and stay alive across
@@ -697,7 +659,7 @@ class SweepExecutor:
         worker reports one message per batch (plus a tiny start marker
         per point, which drives the per-point timeout clock).
         """
-        self._prewarm(indices, points)
+        self._prewarm(indices, points, warmup_cache)
         ctx = self._ctx
         result_queue = ctx.Queue()
         out: Dict[int, dict] = {}
@@ -713,7 +675,8 @@ class SweepExecutor:
             next_wid[0] += 1
             task_q = ctx.Queue()
             proc = ctx.Process(target=_persistent_worker_main,
-                               args=(task_q, result_queue, wid),
+                               args=(task_q, result_queue, wid,
+                                     warmup_cache),
                                daemon=True)
             proc.start()
             workers[wid] = [proc, task_q, {}, None, 0.0]
@@ -846,7 +809,7 @@ class SweepExecutor:
                             # may be the problem; run the point here.
                             self.stats.serial_fallbacks += 1
                             out[victim] = self._execute_in_process(
-                                points[victim])
+                                points[victim], warmup_cache)
                         break          # pool rebuilt; rescan fresh
                     elif now > state[4]:
                         victim, attempt = pop_victim(state)

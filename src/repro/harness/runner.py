@@ -228,15 +228,12 @@ def _fixed_load_node(config: SystemConfig, app_name: str, packet_size: int,
         node.attach_loadgen()
         return node
 
-    def key(node) -> str:
-        return warmup_key(config, app_name, packet_size, app_options, plan,
-                          seed, node.sim.tracer._options_signature())
-
     def warm_up(node) -> None:
         node.start()
         node.warmup_and_reset(plan)
 
-    return warm_start(warmup_cache, build, key, warm_up,
+    key = warmup_key(config, app_name, packet_size, app_options, plan, seed)
+    return warm_start(warmup_cache, key, build, warm_up,
                       {"phase": "warmup", "packet_size": packet_size},
                       prewarm=prewarm)
 
@@ -275,10 +272,9 @@ def run_fixed_load(config: SystemConfig, app_name: str, packet_size: int,
     """Load the node at a fixed rate and measure drops/latency.
 
     Warm-up runs at the canonical (load-independent) rate, drains to
-    quiescence, and resets statistics; with ``warmup_cache`` (or the
-    ``REPRO_WARMUP_CACHE`` environment variable) set, that post-warm-up
-    state is checkpointed once and restored on every later run with the
-    same key — bit-identical to warming up from scratch.
+    quiescence, and resets statistics; with a ``warmup_cache``, that
+    post-warm-up state is checkpointed once and restored on every later
+    run with the same key — bit-identical to warming up from scratch.
     """
     node, _simulated = _fixed_load_node(config, app_name, packet_size,
                                         app_options, warmup_us, seed,
@@ -429,10 +425,6 @@ def _memcached_node(config: SystemConfig, kernel: bool,
             n_requests=n_requests, rate_rps=rate_rps, **warm_client))
         return node
 
-    def key(node) -> str:
-        return warmup_key(config, app_name, 0, {"client": warm_client},
-                          plan, seed, node.sim.tracer._options_signature())
-
     def warm_up(node) -> None:
         node.memcached_client.preload(node.app.store)   # functional warm-up
         node.start()
@@ -440,7 +432,9 @@ def _memcached_node(config: SystemConfig, kernel: bool,
         # state at a comfortable rate before measuring (paper §VI.A).
         node.warmup_and_reset(plan)
 
-    return warm_start(warmup_cache, build, key, warm_up,
+    key = warmup_key(config, app_name, 0, {"client": warm_client}, plan,
+                     seed)
+    return warm_start(warmup_cache, key, build, warm_up,
                       {"phase": "warmup", "kernel": kernel},
                       prewarm=prewarm)
 

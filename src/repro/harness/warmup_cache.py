@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from dataclasses import asdict
 from pathlib import Path
 from typing import Any, Callable, Dict, Optional, Tuple
@@ -39,12 +38,9 @@ from repro.sim.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
+from repro.sim.trace import TraceOptions
 from repro.system.config import SystemConfig
 from repro.system.node import WarmupPlan
-
-#: Environment variable through which sweep workers (and the CLI's
-#: ``--warmup-cache`` flag) point runs at a shared cache directory.
-WARMUP_CACHE_ENV = "REPRO_WARMUP_CACHE"
 
 #: Version of the warm-up *keying* scheme (what state a key promises to
 #: describe).  Bump together with methodology changes so stale snapshots
@@ -54,8 +50,15 @@ WARMUP_KEY_VERSION = 1
 
 def warmup_key(config: SystemConfig, app: str, packet_size: int,
                app_options: Optional[Dict[str, Any]], plan: WarmupPlan,
-               seed: int, tracer_signature: Dict[str, Any]) -> str:
-    """Stable digest of everything the post-warm-up state depends on."""
+               seed: int,
+               tracer_signature: Optional[Dict[str, Any]] = None) -> str:
+    """Stable digest of everything the post-warm-up state depends on.
+
+    ``tracer_signature`` defaults to the tracer options every rig built
+    now would get (:meth:`TraceOptions.from_env`), so a run's key needs
+    no built rig."""
+    if tracer_signature is None:
+        tracer_signature = TraceOptions.from_env().signature()
     options = {k: v for k, v in (app_options or {}).items()
                if k != "store"}   # the store is node-internal state
     payload = {
@@ -152,83 +155,44 @@ class WarmupCache:
             pass
 
 
-#: Per-directory singletons handed out by :func:`warmup_cache_from_env`,
-#: so repeated harness calls in one process (and forked sweep workers)
-#: share a single in-memory memo per cache directory.
-_caches_by_root: Dict[str, WarmupCache] = {}
-
-
-def drop_warmup_cache(root) -> None:
-    """Evict the per-directory singleton (and its memo) for ``root``.
-
-    Callers that provision ephemeral cache directories use this to free
-    the memoized snapshots when the directory is deleted."""
-    _caches_by_root.pop(str(Path(root).resolve()), None)
-
-
-def warmup_cache_from_env() -> Optional[WarmupCache]:
-    """The cache named by ``REPRO_WARMUP_CACHE``, or None when unset.
-
-    This is how sweep worker processes find the shared cache: the
-    executor/CLI exports the variable and every
-    :func:`repro.harness.runner.run_fixed_load` /
-    :func:`~repro.harness.runner.run_memcached` call picks it up.
-    Returns one :class:`WarmupCache` instance per directory so the
-    in-memory memo is shared across calls.
-    """
-    root = os.environ.get(WARMUP_CACHE_ENV)
-    if not root:
-        return None
-    resolved = str(Path(root).resolve())
-    cache = _caches_by_root.get(resolved)
-    if cache is None:
-        cache = WarmupCache(root)
-        _caches_by_root[resolved] = cache
-    return cache
-
-
-def warm_start(cache: Optional[WarmupCache], build: Callable[[], Any],
-               key: Callable[[Any], str], warm_up: Callable[[Any], None],
+def warm_start(cache: Optional[WarmupCache], key: str,
+               build: Callable[[], Any], warm_up: Callable[[Any], None],
                meta: Dict[str, Any], prewarm: bool = False
                ) -> Tuple[Any, bool]:
     """The one warm-up protocol of every harness entry point.
 
-    ``build()`` returns the fully attached rig (a node or a fabric),
-    ``key(rig)`` its :func:`warmup_key`, and ``warm_up(rig)`` simulates
-    the warm-up and resets statistics.  ``cache`` defaults to
-    :func:`warmup_cache_from_env`.  A stored snapshot is restored; one
-    that fails to restore is discarded and the warm-up re-simulated on
-    a rebuilt rig, then checkpointed with ``meta`` and stored.
-    ``prewarm=True`` only fills the cache: no restore on a hit, and a
-    validated read-back of a fresh snapshot to seed the memo.
+    ``key`` is the run's :func:`warmup_key`, computed from its inputs;
+    ``build()`` returns the fully attached rig (a node or a fabric) and
+    ``warm_up(rig)`` simulates the warm-up and resets statistics.  A
+    stored snapshot is restored into a fresh rig; one that fails to
+    restore is discarded and the warm-up re-simulated on a rebuilt rig,
+    then checkpointed with ``meta`` and stored.  ``prewarm=True`` only
+    fills the cache: a hit builds nothing, and a fresh snapshot gets a
+    validated read-back to seed the memo.
 
-    Returns ``(rig, simulated)``, ``rig`` None when prewarming without a
-    cache.
+    Returns ``(rig, simulated)``; ``rig`` is None when prewarming finds
+    nothing to do (no cache, or the snapshot is already stored).
     """
-    if cache is None:
-        cache = warmup_cache_from_env()
     if cache is None and prewarm:
         return None, False
-    rig = build()
-    entry = key(rig) if cache is not None else None
-    if entry is not None:
-        snapshot = cache.get(entry)
-        if snapshot is not None:
-            if prewarm:
-                return rig, False
-            try:
-                rig.restore(snapshot)
-                return rig, False
-            except CheckpointError:
-                # Schema drift that survived the digest check (a snapshot
-                # from a different code version): drop it and warm up
-                # from scratch on a rebuilt rig (restore may have
-                # partially mutated this one).
-                cache.discard(entry)
-                rig = build()
-    warm_up(rig)
-    if entry is not None:
-        cache.put(entry, rig.checkpoint(extra_meta=meta))
+    snapshot = cache.get(key) if cache is not None else None
+    if snapshot is not None:
         if prewarm:
-            cache.get(entry)   # validated read-back seeds the memo
+            return None, False
+        rig = build()
+        try:
+            rig.restore(snapshot)
+            return rig, False
+        except CheckpointError:
+            # Schema drift that survived the digest check (a snapshot
+            # from a different code version): drop it and warm up from
+            # scratch on a rebuilt rig (restore may have partially
+            # mutated this one).
+            cache.discard(key)
+    rig = build()
+    warm_up(rig)
+    if cache is not None:
+        cache.put(key, rig.checkpoint(extra_meta=meta))
+        if prewarm:
+            cache.get(key)   # validated read-back seeds the memo
     return rig, True

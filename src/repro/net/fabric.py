@@ -41,9 +41,14 @@ from repro.net.packet import (
     MacAddress,
     Packet,
 )
-from repro.nic.phy import EtherLink, EtherPort
+from repro.nic.phy import EtherLink, EtherPort, serialization_ticks
 from repro.sim.channel import ChannelHalf
-from repro.sim.checkpoint import CheckpointError, seal, verify
+from repro.sim.checkpoint import (
+    CheckpointError,
+    checkpoint_ready,
+    restore_checkpoint,
+    take_checkpoint,
+)
 from repro.sim.event_queue import EventPool, batching_enabled
 from repro.sim.simobject import SimObject, Simulation
 from repro.sim.ticks import ns_to_ticks
@@ -216,10 +221,6 @@ class OutputQueuedSwitch(SimObject):
 
     # -- datapath ------------------------------------------------------------
 
-    def serialization_ticks(self, packet: Packet) -> int:
-        wire_bits = (packet.wire_len + 20) * 8
-        return round(wire_bits * 1e12 / self.config.bandwidth_bits_per_sec)
-
     def _on_receive(self, in_port: int, packet: Packet) -> None:
         self._rx += 1
         self.stat_rx.inc()
@@ -236,7 +237,8 @@ class OutputQueuedSwitch(SimObject):
                 self._queued[out] - self.stat_queue_peak.value)
         start = max(self.now + self.forward_latency_ticks,
                     self._free_at[out])
-        finish = start + self.serialization_ticks(packet)
+        finish = start + serialization_ticks(
+            packet.wire_len, self.config.bandwidth_bits_per_sec)
         self._free_at[out] = finish
         if self._event_pools:
             self._depart_pool.schedule_at(self.sim.events, finish,
@@ -784,12 +786,11 @@ class Fabric:
     # -- simulation control --------------------------------------------------
 
     def _checkpoint_ready(self) -> bool:
-        if not self.quiescent():
-            return False
-        if self.generator is not None and self.generator.active:
-            return False
-        _registered, unregistered = self.sim.named_event_status()
-        return not unregistered
+        return checkpoint_ready(self.sim, self.quiescent(),
+                                self._generator_idle())
+
+    def _generator_idle(self) -> bool:
+        return self.generator is None or not self.generator.active
 
     def reset_measurement(self) -> None:
         self.sim.reset_stats()
@@ -798,70 +799,14 @@ class Fabric:
 
     def checkpoint(self, extra_meta: Optional[dict] = None) -> dict:
         """Sealed snapshot of the whole fabric (drain first)."""
-        if not self._checkpoint_ready():
-            _registered, unregistered = self.sim.named_event_status()
-            detail = []
-            if not self.quiescent():
-                detail.append("frames are still in flight")
-            if unregistered:
-                detail.append(
-                    "anonymous one-shot events pending: "
-                    + ", ".join(sorted(e.name for e in unregistered)))
-            raise CheckpointError(
-                f"{self.label}: fabric is not checkpoint-ready "
-                f"({'; '.join(detail) or 'generator still active'})")
-        labels = [label for label, _comp in self.topology.components()]
-        meta = {
-            "label": self.label,
-            "app": "fabric",
-            "seed": self.sim.rng.seed,
-            "components": labels,
-        }
-        if extra_meta:
-            meta.update(extra_meta)
-        objects = {}
-        for label, component in self.topology.components():
-            try:
-                objects[label] = component.serialize_state()
-            except CheckpointError:
-                raise
-            except Exception as exc:
-                raise CheckpointError(
-                    f"{self.label}: serializing {label!r} failed: "
-                    f"{exc}") from exc
-        return seal({
-            "meta": meta,
-            "sim": self.sim.serialize_state(),
-            "objects": objects,
-        })
+        return take_checkpoint(self.sim, self.topology, "fabric", self.label,
+                               "fabric", self.quiescent(),
+                               self._generator_idle(), extra_meta)
 
     def restore(self, doc: dict) -> None:
         """Restore into a freshly built, never-run fabric."""
-        doc = verify(doc)
-        meta = doc["meta"]
-        if meta["label"] != self.label:
-            raise CheckpointError(
-                f"checkpoint is for fabric {meta['label']!r}, "
-                f"not {self.label!r}")
-        labels = [label for label, _comp in self.topology.components()]
-        if meta["components"] != labels:
-            raise CheckpointError(
-                f"topology mismatch: checkpoint has {meta['components']}, "
-                f"fabric has {labels}")
-        if meta["seed"] != self.sim.rng.seed:
-            raise CheckpointError(
-                f"checkpoint was taken with seed {meta['seed']}, "
-                f"fabric was built with seed {self.sim.rng.seed}")
-        for label, component in self.topology.components():
-            try:
-                component.deserialize_state(doc["objects"][label])
-            except CheckpointError:
-                raise
-            except Exception as exc:
-                raise CheckpointError(
-                    f"{self.label}: restoring {label!r} failed: "
-                    f"{exc}") from exc
-        self.sim.deserialize_state(doc["sim"])
+        restore_checkpoint(doc, self.sim, self.topology, "fabric",
+                           self.label, "fabric")
 
 
 def _switch_config(config: FabricConfig, radix: int) -> SwitchConfig:

@@ -17,6 +17,14 @@ from repro.sim.ports import PacketPort
 from repro.sim.simobject import SimObject, Simulation
 
 
+def serialization_ticks(wire_len: int, bandwidth_bits_per_sec: float) -> int:
+    """Wire time of one frame at line rate, in ticks (ps): the frame
+    plus its 8 B preamble and 12 B inter-frame gap.  Every link model
+    (:class:`EtherLink`, channel halves, switch output ports) times
+    frames with this one function."""
+    return round((wire_len + 20) * 8 * 1e12 / bandwidth_bits_per_sec)
+
+
 class EtherPort(PacketPort):
     """One end of a link: owned by a device that can receive frames.
 
@@ -143,12 +151,6 @@ class EtherLink(SimObject):
         self.sim.invariants.register(
             f"{self.name}.frame-conservation", conservation, strict=True)
 
-    def serialization_ticks(self, packet: Packet) -> int:
-        # Wire bits include 8B preamble + 12B inter-frame gap.
-        """Wire time of one frame at line rate."""
-        wire_bits = (packet.wire_len + 20) * 8
-        return round(wire_bits * 1e12 / self.bandwidth_bits_per_sec)
-
     def transmit(self, src_port: EtherPort, packet: Packet) -> None:
         """Serialize the frame at line rate, then deliver after the
         propagation delay."""
@@ -161,7 +163,8 @@ class EtherLink(SimObject):
         if dst is None:
             raise RuntimeError(f"{self.name} has a dangling end")
         start = max(self.now, self._tx_free_at[direction])
-        finish = start + self.serialization_ticks(packet)
+        finish = start + serialization_ticks(packet.wire_len,
+                                             self.bandwidth_bits_per_sec)
         self._tx_free_at[direction] = finish
         self.stat_frames.inc()
         self.stat_bytes.inc(packet.wire_len)

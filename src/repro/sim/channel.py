@@ -41,6 +41,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.net.packet import MacAddress, Packet
+from repro.nic.phy import serialization_ticks
 from repro.sim.checkpoint import CheckpointError
 from repro.sim.event_queue import EventPool, batching_enabled
 from repro.sim.ports import PacketPort
@@ -153,19 +154,17 @@ class ChannelHalf(SimObject):
 
     # -- transmit side (EtherLink-compatible surface) ------------------------
 
-    def serialization_ticks(self, packet: Packet) -> int:
-        wire_bits = (packet.wire_len + 20) * 8
-        return round(wire_bits * 1e12 / self.bandwidth_bits_per_sec)
-
     def transmit(self, src_port, packet: Packet) -> None:
         """Serialize at line rate, then post to the epoch outbox.
 
-        Identical timing arithmetic to :meth:`EtherLink.transmit`: the
-        delivery tick of a frame does not depend on whether the link was
-        cut at a shard boundary.
+        The timing arithmetic of :meth:`EtherLink.transmit`, through the
+        same :func:`~repro.nic.phy.serialization_ticks`: the delivery
+        tick of a frame does not depend on whether the link was cut at a
+        shard boundary.
         """
         start = max(self.now, self._tx_free_at)
-        finish = start + self.serialization_ticks(packet)
+        finish = start + serialization_ticks(packet.wire_len,
+                                             self.bandwidth_bits_per_sec)
         self._tx_free_at = finish
         deliver_at = finish + self.delay_ticks
         self._outbox.append((deliver_at, self._out_seq,

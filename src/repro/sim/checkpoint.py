@@ -14,7 +14,7 @@ A checkpoint is a single JSON document::
 
     {
       "format": 1,
-      "meta":    {...},          # app/config/seed provenance (free-form)
+      "meta":    {...},          # label, app, seed, components, extras
       "sim":     {...},          # event queue, rng, stats, tracer
       "objects": {label: state}, # one entry per topology component
       "digest":  "sha256..."     # over the canonical JSON minus "digest"
@@ -26,7 +26,9 @@ value is produced by ``serialize_state()`` on the owning component and
 consumed by ``deserialize_state()`` — the :class:`Serializable`
 protocol that :class:`repro.system.topology.Topology` enforces at
 registration time, so an unserializable component is a build-time
-error rather than a silent checkpoint gap.
+error rather than a silent checkpoint gap.  :func:`take_checkpoint`
+and :func:`restore_checkpoint` build and check this document for any
+``(sim, topology)`` rig, a node or a fabric alike.
 
 Determinism: checkpoints contain no wall-clock timestamps and are
 written with sorted keys, so the same simulation state always produces
@@ -38,7 +40,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from typing import Any, Dict
+from typing import Any, Dict, Optional
 
 #: Version of the on-disk checkpoint schema.  Bump when the layout of
 #: the document (or any component's state dict) changes incompatibly.
@@ -113,6 +115,79 @@ def verify(document: Any) -> Dict[str, Any]:
             f"checkpoint digest mismatch: recorded {document['digest']!r}, "
             f"recomputed {expected!r} (corrupted or tampered)")
     return document
+
+
+def checkpoint_ready(sim, quiescent: bool, idle: bool) -> bool:
+    """True when a rig can be snapshotted: its datapath is ``quiescent``,
+    its traffic sources are ``idle``, and every pending event of ``sim``
+    is re-creatable by name on restore."""
+    return quiescent and idle and not sim.named_event_status()[1]
+
+
+def _rig_meta(sim, topology, label: str, app) -> Dict[str, Any]:
+    return {"label": label, "app": app, "seed": sim.rng.seed,
+            "components": [name for name, _comp in topology.components()]}
+
+
+def take_checkpoint(sim, topology, kind: str, label: str, app,
+                    quiescent: bool, idle: bool,
+                    extra_meta: Optional[Dict[str, Any]] = None
+                    ) -> Dict[str, Any]:
+    """The sealed snapshot of a rig (a node or a fabric): its ``sim``
+    plus every component registered in its ``topology``.
+
+    ``kind`` names the rig in messages, ``label``/``app`` identify it
+    in the meta block; ``quiescent``/``idle`` are the rig's own
+    readiness checks (see :func:`checkpoint_ready`).  Reads state only.
+    """
+    if not checkpoint_ready(sim, quiescent, idle):
+        unregistered = sim.named_event_status()[1]
+        detail = []
+        if not quiescent:
+            detail.append("traffic is still in flight")
+        if unregistered:
+            detail.append("anonymous one-shot events pending: "
+                          + ", ".join(sorted(e.name for e in unregistered)))
+        raise CheckpointError(
+            f"{label}: {kind} is not checkpoint-ready "
+            f"({'; '.join(detail) or 'traffic source still active'})")
+    meta = _rig_meta(sim, topology, label, app)
+    meta.update(extra_meta or {})
+    objects = {}
+    for name, component in topology.components():
+        try:
+            objects[name] = component.serialize_state()
+        except CheckpointError:
+            raise
+        except Exception as exc:
+            raise CheckpointError(
+                f"{label}: serializing {name!r} failed: {exc}") from exc
+    return seal({"meta": meta, "sim": sim.serialize_state(),
+                 "objects": objects})
+
+
+def restore_checkpoint(document: Any, sim, topology, kind: str, label: str,
+                       app) -> None:
+    """Restore :func:`take_checkpoint` output into a freshly built,
+    never-run rig with the same label, application, seed and topology;
+    a mismatch in any of them raises :class:`CheckpointError` naming
+    the field."""
+    document = verify(document)
+    meta = document["meta"]
+    for field, expected in _rig_meta(sim, topology, label, app).items():
+        if meta.get(field) != expected:
+            raise CheckpointError(
+                f"checkpoint {field} mismatch: the checkpoint has "
+                f"{meta.get(field)!r}, this {kind} has {expected!r}")
+    for name, component in topology.components():
+        try:
+            component.deserialize_state(document["objects"][name])
+        except CheckpointError:
+            raise
+        except Exception as exc:
+            raise CheckpointError(
+                f"{label}: restoring {name!r} failed: {exc}") from exc
+    sim.deserialize_state(document["sim"])
 
 
 def save_checkpoint(document: Dict[str, Any], path: str) -> None:

@@ -59,6 +59,18 @@ class TraceOptions:
         if self.buffer_size < 1:
             raise ValueError("trace buffer size must be positive")
 
+    def signature(self) -> dict:
+        """The options as plain JSON data: what a checkpoint records and
+        what the warm-up cache keys on."""
+        return {
+            "enabled": self.enabled,
+            "buffer_size": self.buffer_size,
+            "categories": (sorted(self.categories)
+                           if self.categories is not None else None),
+            "objects": (sorted(self.objects)
+                        if self.objects is not None else None),
+        }
+
     @classmethod
     def from_env(cls, env=None) -> "TraceOptions":
         """Build options from ``REPRO_TRACE``.
@@ -140,17 +152,6 @@ class Tracer:
     # Checkpoint support
     # ------------------------------------------------------------------
 
-    def _options_signature(self) -> dict:
-        opts = self.options
-        return {
-            "enabled": opts.enabled,
-            "buffer_size": opts.buffer_size,
-            "categories": (sorted(opts.categories)
-                           if opts.categories is not None else None),
-            "objects": (sorted(opts.objects)
-                        if opts.objects is not None else None),
-        }
-
     def serialize_state(self) -> dict:
         """Snapshot retained records and counters.  The trace digest
         covers warm-up-era records, so a restored run must resume with
@@ -161,7 +162,7 @@ class Tracer:
                           for ev in buf]]
                    for obj, buf in self._buffers.items()]
         return {
-            "options": self._options_signature(),
+            "options": self.options.signature(),
             "buffers": buffers,
             "seq": self._seq,
             "recorded": self.recorded,
@@ -170,10 +171,10 @@ class Tracer:
         }
 
     def deserialize_state(self, state: dict) -> None:
-        if state["options"] != self._options_signature():
+        if state["options"] != self.options.signature():
             raise ValueError(
                 f"trace options changed across checkpoint: "
-                f"{state['options']} -> {self._options_signature()}")
+                f"{state['options']} -> {self.options.signature()}")
         self._buffers = {}
         for obj, records in state["buffers"]:
             buf = deque(maxlen=self.options.buffer_size)

@@ -31,7 +31,12 @@ from repro.nic.i8254x import E1000_DEVICE_ID, INTEL_VENDOR_ID
 from repro.nic.phy import EtherLink
 from repro.pci.bus import PciBus
 from repro.pci.uio import UioBindError, UioPciGeneric
-from repro.sim.checkpoint import CheckpointError, seal, verify
+from repro.sim.checkpoint import (
+    CheckpointError,
+    checkpoint_ready,
+    restore_checkpoint,
+    take_checkpoint,
+)
 from repro.sim.simobject import Simulation
 from repro.sim.ticks import us_to_ticks
 from repro.system.config import SystemConfig
@@ -289,15 +294,13 @@ class _BaseNode:
     def _checkpoint_ready(self) -> bool:
         """Quiescent datapath, idle traffic sources, and every pending
         event re-creatable by name on restore."""
-        if not self.fully_quiescent():
-            return False
-        if self.loadgen is not None and self.loadgen.active:
-            return False
-        if (self.memcached_client is not None
-                and self.memcached_client.active):
-            return False
-        _registered, unregistered = self.sim.named_event_status()
-        return not unregistered
+        return checkpoint_ready(self.sim, self.fully_quiescent(),
+                                self._sources_idle())
+
+    def _sources_idle(self) -> bool:
+        return ((self.loadgen is None or not self.loadgen.active)
+                and (self.memcached_client is None
+                     or not self.memcached_client.active))
 
     def reset_measurement(self) -> None:
         """Reset every measurement counter in one place.  The counters
@@ -323,42 +326,10 @@ class _BaseNode:
         packet anywhere in the datapath raises :class:`CheckpointError`.
         Taking a checkpoint reads state only — it never perturbs the run.
         """
-        if not self._checkpoint_ready():
-            _registered, unregistered = self.sim.named_event_status()
-            detail = []
-            if not self.fully_quiescent():
-                detail.append("packets are still in flight")
-            if unregistered:
-                detail.append(
-                    "anonymous one-shot events pending: "
-                    + ", ".join(sorted(e.name for e in unregistered)))
-            raise CheckpointError(
-                f"{self.config.label}: node is not checkpoint-ready "
-                f"({'; '.join(detail) or 'traffic source still active'})")
-        labels = [label for label, _comp in self.topology.components()]
-        meta = {
-            "label": self.config.label,
-            "app": type(self.app).__name__ if self.app is not None else None,
-            "seed": self.sim.rng.seed,
-            "components": labels,
-        }
-        if extra_meta:
-            meta.update(extra_meta)
-        objects = {}
-        for label, component in self.topology.components():
-            try:
-                objects[label] = component.serialize_state()
-            except CheckpointError:
-                raise
-            except Exception as exc:
-                raise CheckpointError(
-                    f"{self.config.label}: serializing {label!r} failed: "
-                    f"{exc}") from exc
-        return seal({
-            "meta": meta,
-            "sim": self.sim.serialize_state(),
-            "objects": objects,
-        })
+        return take_checkpoint(self.sim, self.topology, "node",
+                               self.config.label, self._app_name(),
+                               self.fully_quiescent(), self._sources_idle(),
+                               extra_meta)
 
     def restore(self, doc: dict) -> None:
         """Restore a checkpoint into this (freshly built, never started)
@@ -370,36 +341,11 @@ class _BaseNode:
         on a restored node: the event queue is reconstructed exactly,
         including the application's poll/NAPI events.
         """
-        doc = verify(doc)
-        meta = doc["meta"]
-        if meta["label"] != self.config.label:
-            raise CheckpointError(
-                f"checkpoint is for config {meta['label']!r}, "
-                f"not {self.config.label!r}")
-        labels = [label for label, _comp in self.topology.components()]
-        if meta["components"] != labels:
-            raise CheckpointError(
-                f"topology mismatch: checkpoint has {meta['components']}, "
-                f"node has {labels}")
-        app_name = type(self.app).__name__ if self.app is not None else None
-        if meta["app"] != app_name:
-            raise CheckpointError(
-                f"checkpoint is for application {meta['app']!r}, "
-                f"node runs {app_name!r}")
-        if meta["seed"] != self.sim.rng.seed:
-            raise CheckpointError(
-                f"checkpoint was taken with seed {meta['seed']}, "
-                f"node was built with seed {self.sim.rng.seed}")
-        for label, component in self.topology.components():
-            try:
-                component.deserialize_state(doc["objects"][label])
-            except CheckpointError:
-                raise
-            except Exception as exc:
-                raise CheckpointError(
-                    f"{self.config.label}: restoring {label!r} failed: "
-                    f"{exc}") from exc
-        self.sim.deserialize_state(doc["sim"])
+        restore_checkpoint(doc, self.sim, self.topology, "node",
+                           self.config.label, self._app_name())
+
+    def _app_name(self) -> Optional[str]:
+        return type(self.app).__name__ if self.app is not None else None
 
 
 class DpdkNode(_BaseNode):

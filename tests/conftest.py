@@ -15,15 +15,15 @@ def _in_worker() -> bool:
     return multiprocessing.parent_process() is not None
 
 
-def _poison_raise(point):
+def _poison_raise(point, _warmup_cache):
     raise RuntimeError("poisoned sweep point: injected exception")
 
 
-def _poison_hang(point):
+def _poison_hang(point, _warmup_cache):
     time.sleep(3600.0)
 
 
-def _poison_hang_once(point):
+def _poison_hang_once(point, _warmup_cache):
     # Hangs on its first attempt (stamping a flag file first) and
     # completes on every later one — exercises timeout -> clean retry.
     # The flag file path travels in ``app_options["flag"]``.
@@ -34,7 +34,7 @@ def _poison_hang_once(point):
     return {"ok": True, "via": "retry", "seed": point.seed}
 
 
-def _poison_crash(point):
+def _poison_crash(point, _warmup_cache):
     # Hard worker death (no exception, no result) in a worker; the serial
     # in-process fallback fails too — the unrecoverable-point case.
     if _in_worker():
@@ -42,7 +42,7 @@ def _poison_crash(point):
     raise RuntimeError("poisoned sweep point: crashes everywhere")
 
 
-def _poison_child_crash(point):
+def _poison_child_crash(point, _warmup_cache):
     # Dies only inside a worker process; succeeds in-process — exercises
     # the graceful serial fallback after worker death.
     if _in_worker():
@@ -50,7 +50,7 @@ def _poison_child_crash(point):
     return {"ok": True, "via": "serial-fallback", "seed": point.seed}
 
 
-def _poison_invariant(point):
+def _poison_invariant(point, _warmup_cache):
     # A simulation whose invariant checker fired — exercises the
     # violation-verdict path (SweepInvariantError naming the point).
     raise InvariantViolation(

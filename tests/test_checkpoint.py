@@ -218,6 +218,30 @@ class TestNodeCheckpoint:
         with pytest.raises(CheckpointError):
             node.restore(doc)
 
+    def test_node_checkpoint_does_not_restore_into_a_fabric(
+            self, warm_checkpoint):
+        from repro.harness.fabric import build_fabric_rig
+
+        config, doc = warm_checkpoint
+        fabric = build_fabric_rig(config, "fat-tree-k4", "dpdk", seed=3)
+        with pytest.raises(CheckpointError,
+                           match="checkpoint label mismatch.*this fabric"):
+            fabric.restore(doc)
+
+    def test_fabric_checkpoint_does_not_restore_into_a_node(
+            self, warm_checkpoint):
+        from repro.harness.fabric import build_fabric_rig
+        from repro.harness.runner import build_node
+
+        config, _doc = warm_checkpoint
+        doc = build_fabric_rig(config, "fat-tree-k4", "dpdk",
+                               seed=3).checkpoint()
+        node = build_node(config, "testpmd", seed=3)
+        node.attach_loadgen()
+        with pytest.raises(CheckpointError,
+                           match="checkpoint label mismatch.*this node"):
+            node.restore(doc)
+
     def test_checkpoint_refused_while_traffic_is_live(self):
         from repro.harness.runner import build_node
         from repro.loadgen.ether_load_gen import SyntheticConfig

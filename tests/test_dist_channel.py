@@ -26,7 +26,7 @@ from hypothesis import given, settings, strategies as st
 from repro.apps import testpmd
 from repro.loadgen.ether_load_gen import EtherLoadGen, SyntheticConfig
 from repro.net.packet import MacAddress, Packet
-from repro.nic.phy import EtherLink, EtherPort
+from repro.nic.phy import EtherLink, EtherPort, serialization_ticks
 from repro.sim.channel import (
     ChannelError,
     ChannelGroup,
@@ -340,8 +340,8 @@ def _same_tick_arrivals(coupled):
     local_link.connect(local, rx_local)
     # The small frame leaves late enough to arrive on the big frame's
     # tick (both cables share bandwidth and latency).
-    small_at = (local_link.serialization_ticks(big)
-                - local_link.serialization_ticks(small))
+    small_at = (serialization_ticks(big.wire_len, BANDWIDTH)
+                - serialization_ticks(small.wire_len, BANDWIDTH))
     sim0.events.call_at(0, lambda: remote.send(big), name="test.big")
     sim1.events.call_at(small_at, lambda: local.send(small),
                         name="test.small")

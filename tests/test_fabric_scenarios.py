@@ -30,11 +30,7 @@ from pathlib import Path
 import pytest
 
 from repro.harness.fabric import run_fabric
-from repro.harness.parallel import (
-    SweepExecutor,
-    _warm_signature,
-    fabric_point,
-)
+from repro.harness.parallel import SweepExecutor, fabric_point
 from repro.harness.warmup_cache import WarmupCache
 from repro.net.fabric import DROP_CAUSES, DROP_SWITCH_QUEUE
 from repro.system.presets import gem5_default
@@ -191,23 +187,24 @@ def _matrix_points(seed=0):
             for pattern in ("uniform", "incast")]
 
 
-def test_fabric_points_share_warm_signature_across_loads():
-    """The executor's parent prewarm treats fabric points like fixed-load
-    points: loads share one warm-up signature, patterns do not."""
-    a = fabric_point(gem5_default(), "fat-tree-k4", "dpdk", load=0.2)
-    b = fabric_point(gem5_default(), "fat-tree-k4", "dpdk", load=0.8)
-    c = fabric_point(gem5_default(), "fat-tree-k4", "kernel", load=0.2)
-    assert _warm_signature(a) is not None
-    assert _warm_signature(a) == _warm_signature(b)
-    assert _warm_signature(a) != _warm_signature(c)
+def test_fabric_points_share_one_warm_snapshot_across_loads(tmp_path):
+    """Fabric points share warm-up state like fixed-load points: two
+    loads leave one snapshot in the cache, another stack a second."""
+    def point(stack, load):
+        return fabric_point(gem5_default(), "fat-tree-k4", stack,
+                            load=load, n_flows=20)
+
+    ex = SweepExecutor(jobs=1, warmup_cache_dir=tmp_path)
+    ex.run([point("dpdk", 0.2), point("dpdk", 0.8)])
+    assert len(list(tmp_path.glob("warmup-*.json"))) == 1
+    ex.run([point("kernel", 0.2)])
+    assert len(list(tmp_path.glob("warmup-*.json"))) == 2
 
 
 def test_fabric_sweep_parallel_matches_serial():
     """jobs=2 (with the auto-provisioned ephemeral warm-up cache, since
-    no REPRO_WARMUP_CACHE is set) returns bit-identical results to the
-    serial reference path."""
-    assert not os.environ.get("REPRO_WARMUP_CACHE"), \
-        "test requires the ephemeral-provisioning path"
+    no warm-up cache directory is given) returns bit-identical results
+    to the serial reference path."""
     points = _matrix_points()
     serial = SweepExecutor(jobs=1).run(points)
     parallel = SweepExecutor(jobs=2, timeout_s=120.0).run(points)

@@ -255,3 +255,37 @@ def test_leaf_spine_intra_leaf_stays_local():
     spines = [s for s in fabric.switches if ".spine" in s.name]
     assert all(s._rx == 0 for s in spines)
     sim.invariants.check(final=True)
+
+
+# ----------------------------------------------------------------------
+# Analytic oracle: one uncongested single-path frame
+# ----------------------------------------------------------------------
+
+@pytest.mark.xfail(strict=True, reason=(
+    "known defect: each switch charges the frame's serialization twice, "
+    "once in OutputQueuedSwitch._on_receive and again on the egress "
+    "EtherLink (docs/fabrics.md, 'Known defect')"))
+def test_single_frame_fct_matches_store_and_forward_bound():
+    """A lone 1,018 B frame from h0 to h3 across a 2-leaf, 1-spine
+    leaf-spine crosses 4 links and 3 switches.  Store-and-forward
+    timing, computed here from first principles, is 4 x (serialization
+    + propagation) + 3 x forwarding + host service."""
+    sim = Simulation(seed=0)
+    fabric = build_leaf_spine(sim, FabricConfig(
+        topology="leaf_spine", leaves=2, spines=1, hosts_per_leaf=2,
+        link_bandwidth_bps=100e9, link_delay_ns=1000.0,
+        forward_latency_ns=500.0, host_service_ns=10.0))
+    fcts = []
+    fabric.hosts[3].on_flow_complete = \
+        lambda meta, now: fcts.append(now - meta["start"])
+    fabric.hosts[0].send_flow(Flow(flow_id=0, src=0, dst=3,
+                                   size_bytes=1000, start_tick=0))
+    _run(sim)
+    wire_bits = (1018 + 8 + 12) * 8           # frame, preamble, IFG
+    serialization_ps = wire_bits * 1e12 / 100e9
+    assert serialization_ps == 83_040
+    expected = (4 * (serialization_ps + 1_000_000)
+                + 3 * 500_000 + 10_000)
+    assert expected == 5_842_160
+    # Today: 6,091,280 ps, which is 3 x 83,040 ps too long.
+    assert fcts == [expected]

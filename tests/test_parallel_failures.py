@@ -38,6 +38,7 @@ from repro.harness.parallel import (
 )
 from repro.harness.runner import _fixed_load_plan, build_node
 from repro.harness.warmup_cache import WarmupCache, warmup_key
+from repro.sim.trace import TraceOptions
 from repro.system.presets import gem5_default
 
 
@@ -276,9 +277,8 @@ class TestWorkerWarmRestore:
         impostor = impostor_node.checkpoint()
         impostor_app = impostor["meta"]["app"]
         plan = _fixed_load_plan(config, 256, True, None)
-        probe = build_node(config, "testpmd", seed=seed)
         key = warmup_key(config, "testpmd", 256, None, plan, seed,
-                         probe.sim.tracer._options_signature())
+                         TraceOptions.from_env().signature())
         cache.put(key, impostor)
 
         ex = SweepExecutor(jobs=2, timeout_s=120.0,

@@ -9,19 +9,16 @@ import os
 
 import pytest
 
+from repro.harness import fabric, runner
 from repro.harness.parallel import SweepExecutor, fixed_load_point
 from repro.harness.runner import (
     _fixed_load_plan,
     build_node,
     run_fixed_load,
 )
-from repro.harness.warmup_cache import (
-    WARMUP_CACHE_ENV,
-    WarmupCache,
-    warmup_cache_from_env,
-    warmup_key,
-)
+from repro.harness.warmup_cache import WarmupCache, warmup_key
 from repro.sim.checkpoint import CHECKPOINT_FORMAT, compute_digest
+from repro.sim.trace import TraceOptions
 from repro.system.presets import gem5_default, with_core
 
 
@@ -34,6 +31,76 @@ def _entry_path(cache):
     entries = sorted(cache.root.glob("warmup-*.json"))
     assert len(entries) == 1
     return entries[0]
+
+
+#: Warm-up keys of three representative runs on ``gem5_default`` at
+#: seed 0 with tracing off.  Existing cache directories stay valid only
+#: while these hold; a deliberate keying change bumps
+#: ``WARMUP_KEY_VERSION`` and updates them together.
+PINNED_KEYS = {
+    "testpmd-256": "fd4883913b1dc26c53acda99dfb1c7e4b0654733"
+                   "8a97aa702663b2106b0a3e40",
+    "memcached-kernel": "2b1132e9a5fd8422aa805f6e2e65e7ac0cbe38c7"
+                        "007aa23b16c5a7e09b013b65",
+    "fat-tree-k4-dpdk": "6099b0e4ce675bb867c078a6f765967370a094e2"
+                        "759df31f47e098709cfb7422",
+}
+
+
+class _KeyRecorder(WarmupCache):
+    """A cache that claims every key is stored and records the keys it
+    was asked for, so a prewarm reveals its key without simulating."""
+
+    def __init__(self, root):
+        super().__init__(root)
+        self.asked = []
+
+    def get(self, key):
+        self.asked.append(key)
+        return {}
+
+
+def _prewarm(name, cache):
+    config = gem5_default()
+    if name == "testpmd-256":
+        return runner.prewarm_fixed_load(config, "testpmd", 256, seed=0,
+                                         warmup_cache=cache)
+    if name == "memcached-kernel":
+        return runner.prewarm_memcached(config, True, seed=0,
+                                        warmup_cache=cache)
+    return fabric.prewarm_fabric(config, "fat-tree-k4", "dpdk", seed=0,
+                                 warmup_cache=cache)
+
+
+class TestPinnedKeys:
+    @pytest.mark.parametrize("name", sorted(PINNED_KEYS))
+    def test_key_is_pinned_and_needs_no_rig(self, name, monkeypatch,
+                                            tmp_path):
+        for var in ("REPRO_TRACE", "REPRO_TRACE_BUFFER"):
+            monkeypatch.delenv(var, raising=False)
+
+        def no_build(*_args, **_kwargs):
+            raise AssertionError("a cached prewarm built a rig")
+
+        monkeypatch.setattr(runner, "build_node", no_build)
+        monkeypatch.setattr(fabric, "build_fabric_rig", no_build)
+        cache = _KeyRecorder(tmp_path)
+        assert _prewarm(name, cache) is False
+        assert cache.asked == [PINNED_KEYS[name]]
+
+    def test_cached_prewarm_builds_no_node(self, monkeypatch, tmp_path):
+        built = []
+
+        def counting_build_node(*args, **kwargs):
+            built.append(args[1])
+            return build_node(*args, **kwargs)
+
+        monkeypatch.setattr(runner, "build_node", counting_build_node)
+        cache = WarmupCache(tmp_path)
+        assert _prewarm("testpmd-256", cache) is True
+        assert built == ["testpmd"]
+        assert _prewarm("testpmd-256", cache) is False
+        assert built == ["testpmd"], "a cached prewarm built a node"
 
 
 class TestKeying:
@@ -128,9 +195,8 @@ class TestCorruptionRecovery:
         node.warmup_and_reset(_fixed_load_plan(config, 256, True, None))
         impostor = node.checkpoint()
         plan = _fixed_load_plan(config, 256, True, None)
-        probe = build_node(config, "testpmd", seed=0)
         key = warmup_key(config, "testpmd", 256, None, plan, 0,
-                         probe.sim.tracer._options_signature())
+                         TraceOptions.from_env().signature())
         cache.put(key, impostor)
 
         result = _reference(config, warmup_cache=cache)
@@ -142,33 +208,16 @@ class TestCorruptionRecovery:
 
 
 class TestEnvironmentPlumbing:
-    def test_from_env_unset_is_none(self, monkeypatch):
-        monkeypatch.delenv(WARMUP_CACHE_ENV, raising=False)
-        assert warmup_cache_from_env() is None
-
-    def test_from_env_points_at_directory(self, monkeypatch, tmp_path):
-        monkeypatch.setenv(WARMUP_CACHE_ENV, str(tmp_path / "warm"))
-        cache = warmup_cache_from_env()
-        assert cache is not None
-        assert cache.root == tmp_path / "warm"
-        assert cache.root.is_dir()
-
-    def test_runner_picks_up_env_cache(self, monkeypatch, tmp_path):
-        monkeypatch.setenv(WARMUP_CACHE_ENV, str(tmp_path))
-        config = gem5_default()
-        expected = _reference(config)
-        assert _reference(config) == expected
-        assert list(tmp_path.glob("warmup-*.json")), \
-            "runner ignored REPRO_WARMUP_CACHE"
-
     def test_executor_exports_and_restores_env(self, monkeypatch,
                                                tmp_path):
-        monkeypatch.delenv(WARMUP_CACHE_ENV, raising=False)
+        # The executor hands its cache object to every point; it never
+        # exports the directory through the environment.
+        monkeypatch.delenv("REPRO_WARMUP_CACHE", raising=False)
         ex = SweepExecutor(jobs=1, warmup_cache_dir=tmp_path)
         point = fixed_load_point(gem5_default(), "testpmd", 256, 8.0,
                                  n_packets=600)
         with_cache = ex.run([point])[0]
-        assert os.environ.get(WARMUP_CACHE_ENV) is None, \
+        assert os.environ.get("REPRO_WARMUP_CACHE") is None, \
             "executor leaked REPRO_WARMUP_CACHE"
         assert list(tmp_path.glob("warmup-*.json"))
         plain = SweepExecutor(jobs=1).run([point])[0]
